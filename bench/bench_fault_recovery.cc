@@ -92,7 +92,7 @@ replModeName(core::ReplicationMode m)
                                                    : "batched-lazy";
 }
 
-/** Failover panel (DESIGN.md §16): a backup switch shadows the
+/** Failover panel (DESIGN.md §15): a backup switch shadows the
  *  primary, which fail-stops at 30% of the healthy runtime and never
  *  returns; heartbeat misses promote the backup mid-round. */
 harness::ExperimentSpec

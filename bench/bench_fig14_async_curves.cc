@@ -17,9 +17,9 @@ namespace {
 
 constexpr std::size_t kCurveEvery = 200;
 
-/** Multi-rack worker count for the sharded-engine rows (4 racks of
- *  3 under the default tree geometry: enough domains to parallelize). */
-constexpr std::size_t kShardWorkers = 12;
+/** Multi-rack worker count for the tree timing rows (4 racks of 3
+ *  under the default tree geometry). */
+constexpr std::size_t kTreeWorkers = 12;
 
 harness::ExperimentSpec
 curveSpec(dist::StrategyKind k)
@@ -32,47 +32,27 @@ curveSpec(dist::StrategyKind k)
     return spec;
 }
 
-harness::FabricSpec
-treeFabric(bool shard)
+harness::ExperimentSpec
+treeTimingSpec(dist::StrategyKind k)
 {
     harness::FabricSpec fabric;
     fabric.tree = true;
-    fabric.shard = shard;
-    return fabric;
+    return harness::timingSpec(rl::Algo::kDqn, k, kTreeWorkers, fabric);
 }
 
-/** The fig14 timing runs again, on a partitioned multi-rack tree:
- *  serial engine vs domain-sharded engine. Async rows are the point —
- *  the sharded engine now runs them (barrier-published staleness
- *  snapshots), deterministically across shard_threads. */
+/** The fig14 timing runs again, on a partitioned multi-rack tree. */
 void
-shardedAsyncTable()
+treeAsyncTable()
 {
-    harness::banner("Async timing on the sharded engine (" +
-                    std::to_string(kShardWorkers) + " workers, tree)");
-    harness::Table t(
-        {"Strategy", "Engine", "ms/iter", "sim events/s", "speedup"});
+    harness::banner("Async timing on a tree (" +
+                    std::to_string(kTreeWorkers) + " workers)");
+    harness::Table t({"Strategy", "ms/iter", "sim events/s"});
     for (auto k : {dist::StrategyKind::kAsyncPs,
                    dist::StrategyKind::kAsyncIswitch}) {
-        const dist::RunResult &serial = bench::runner().run(
-            harness::timingSpec(rl::Algo::kDqn, k, kShardWorkers,
-                                treeFabric(false)));
-        const dist::RunResult &sharded = bench::runner().run(
-            harness::timingSpec(rl::Algo::kDqn, k, kShardWorkers,
-                                treeFabric(true)));
-        const auto eps = [](const dist::RunResult &r) {
-            const auto it = r.perf.find("events_per_sec");
-            return it == r.perf.end() ? 0.0 : it->second;
-        };
-        t.row({dist::strategyName(k), "serial",
-               harness::fmt(serial.perIterationMs(), 3),
-               harness::fmt(eps(serial), 0), "1.00x"});
-        t.row({dist::strategyName(k), "sharded",
-               harness::fmt(sharded.perIterationMs(), 3),
-               harness::fmt(eps(sharded), 0),
-               eps(serial) > 0.0
-                   ? bench::speedupStr(eps(sharded) / eps(serial))
-                   : "n/a"});
+        const dist::RunResult &r = bench::runner().run(treeTimingSpec(k));
+        const auto it = r.perf.find("events_per_sec");
+        t.row({dist::strategyName(k), harness::fmt(r.perIterationMs(), 3),
+               harness::fmt(it == r.perf.end() ? 0.0 : it->second, 0)});
     }
     t.print();
 }
@@ -105,16 +85,8 @@ main(int argc, char **argv)
          harness::timingSpec(rl::Algo::kDqn, dist::StrategyKind::kAsyncPs),
          harness::timingSpec(rl::Algo::kDqn,
                              dist::StrategyKind::kAsyncIswitch),
-         harness::timingSpec(rl::Algo::kDqn, dist::StrategyKind::kAsyncPs,
-                             kShardWorkers, treeFabric(false)),
-         harness::timingSpec(rl::Algo::kDqn, dist::StrategyKind::kAsyncPs,
-                             kShardWorkers, treeFabric(true)),
-         harness::timingSpec(rl::Algo::kDqn,
-                             dist::StrategyKind::kAsyncIswitch,
-                             kShardWorkers, treeFabric(false)),
-         harness::timingSpec(rl::Algo::kDqn,
-                             dist::StrategyKind::kAsyncIswitch,
-                             kShardWorkers, treeFabric(true))});
+         treeTimingSpec(dist::StrategyKind::kAsyncPs),
+         treeTimingSpec(dist::StrategyKind::kAsyncIswitch)});
 
     const dist::RunResult &ps =
         bench::runner().run(curveSpec(dist::StrategyKind::kAsyncPs));
@@ -127,7 +99,7 @@ main(int argc, char **argv)
 
     curveTable("Async PS curve", ps, ps_ms);
     curveTable("Async iSW curve", isw, isw_ms);
-    shardedAsyncTable();
+    treeAsyncTable();
 
     std::cout << "\nAsync PS: " << ps.iterations << " updates to reward "
               << harness::fmt(ps.final_avg_reward, 2) << "; Async iSW: "

@@ -17,9 +17,8 @@
  * A final multi-rack panel takes one point beyond the two-layer tree:
  * 8 racks x 8 workers (2 pods of 4 racks) on the ToR-AGG-Core
  * fat-tree, comparing per-iteration time against the two-layer tree
- * at the same worker count, then runs the async strategies on that
- * fat-tree under both the serial and the domain-sharded engine.
- * `--fat-racks/--fat-per-rack/--fat-pod` reshape it.
+ * at the same worker count, then times the async strategies on that
+ * fat-tree. `--fat-racks/--fat-per-rack/--fat-pod` reshape it.
  */
 
 #include <iostream>
@@ -117,34 +116,17 @@ fatTreePanel(std::size_t racks, std::size_t per_rack, std::size_t pod)
     }
     t.print();
 
-    // Async on the same fat-tree, serial engine vs domain-sharded
-    // engine. ms/iter is simulated (engine-invariant up to the async
-    // snapshot semantics); the events/s column is the wall-clock
-    // figure of merit for the parallel engine.
-    harness::banner("Sharded async on the fat-tree — serial vs sharded");
-    harness::Table s(
-        {"Strategy", "Engine", "ms/iter", "sim events/s", "speedup"});
-    harness::FabricSpec fat_sharded = fat;
-    fat_sharded.shard = true;
-    const auto eps = [](const dist::RunResult &r) {
-        const auto it = r.perf.find("events_per_sec");
-        return it == r.perf.end() ? 0.0 : it->second;
-    };
+    // Async DQN on the same fat-tree. ms/iter is simulated; events/s
+    // is the simulator's wall-clock throughput.
+    harness::banner("Async on the fat-tree");
+    harness::Table s({"Strategy", "ms/iter", "sim events/s"});
     for (auto k : {dist::StrategyKind::kAsyncPs,
                    dist::StrategyKind::kAsyncIswitch}) {
-        const dist::RunResult &serial = bench::runner().run(
+        const dist::RunResult &r = bench::runner().run(
             harness::timingSpec(rl::Algo::kDqn, k, workers, fat));
-        const dist::RunResult &sharded = bench::runner().run(
-            harness::timingSpec(rl::Algo::kDqn, k, workers, fat_sharded));
-        s.row({dist::strategyName(k), "serial",
-               harness::fmt(serial.perIterationMs(), 3),
-               harness::fmt(eps(serial), 0), "1.00x"});
-        s.row({dist::strategyName(k), "sharded",
-               harness::fmt(sharded.perIterationMs(), 3),
-               harness::fmt(eps(sharded), 0),
-               eps(serial) > 0.0
-                   ? bench::speedupStr(eps(sharded) / eps(serial))
-                   : "n/a"});
+        const auto it = r.perf.find("events_per_sec");
+        s.row({dist::strategyName(k), harness::fmt(r.perIterationMs(), 3),
+               harness::fmt(it == r.perf.end() ? 0.0 : it->second, 0)});
     }
     s.print();
 }

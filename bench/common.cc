@@ -1,7 +1,9 @@
 #include "common.hh"
 
+#include <cstdlib>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 
 namespace isw::bench {
 
@@ -16,12 +18,24 @@ harness::Cli
 initBench(int argc, const char *const *argv,
           std::vector<std::string> extra_known)
 {
-    harness::Cli cli(argc, argv);
     std::vector<std::string> known = std::move(extra_known);
     known.push_back("jobs");
-    cli.requireKnown(known);
-    g_jobs = static_cast<std::size_t>(cli.getInt("jobs", 0));
-    return cli;
+    try {
+        harness::Cli cli(argc, argv);
+        cli.requireKnown(known);
+        const std::int64_t jobs = cli.getInt("jobs", 0);
+        if (jobs < 0)
+            throw std::invalid_argument("--jobs must be >= 0");
+        g_jobs = static_cast<std::size_t>(jobs);
+        return cli;
+    } catch (const std::invalid_argument &e) {
+        std::cerr << (argc > 0 ? argv[0] : "bench") << ": " << e.what()
+                  << "\nknown flags:";
+        for (const std::string &k : known)
+            std::cerr << " --" << k;
+        std::cerr << "\n";
+        std::exit(2);
+    }
 }
 
 harness::Runner &

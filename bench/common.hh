@@ -36,7 +36,9 @@ inline const std::array<dist::StrategyKind, 3> kSyncStrategies{
 /**
  * Parse the standard bench command line (`--jobs N` plus
  * @p extra_known flags) and configure the shared runner before first
- * use. Returns the parsed Cli for bench-specific flags.
+ * use. Returns the parsed Cli for bench-specific flags. A malformed
+ * command line (unknown flag, bad --jobs value) prints the error and
+ * the known flags to stderr and exits with status 2.
  */
 harness::Cli initBench(int argc, const char *const *argv,
                        std::vector<std::string> extra_known = {});
@@ -64,33 +66,6 @@ void printHeader(const std::string &what);
 
 /** "x.xx" ratio formatting with a trailing 'x'. */
 std::string speedupStr(double s);
-
-/**
- * Deprecated shim over the shared Runner for out-of-tree callers of
- * the old stringly-keyed cache. Runs are memoized process-wide, so
- * distinct TimingCache instances now share results.
- */
-class [[deprecated(
-    "use bench::runner() / bench::perIterMs / bench::timingResult")]]
-TimingCache
-{
-  public:
-    /** Per-iteration milliseconds for a paper-wire timing run. */
-    double
-    perIterMs(rl::Algo algo, dist::StrategyKind k, std::size_t workers = 4,
-              bool tree = false)
-    {
-        return bench::perIterMs(algo, k, workers, tree);
-    }
-
-    /** Full result of the cached timing run. */
-    const dist::RunResult &
-    result(rl::Algo algo, dist::StrategyKind k, std::size_t workers = 4,
-           bool tree = false)
-    {
-        return bench::timingResult(algo, k, workers, tree);
-    }
-};
 
 } // namespace isw::bench
 

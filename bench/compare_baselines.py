@@ -122,45 +122,6 @@ def check_failover(base_path, fresh_path, failures):
     print(f"# failover: {checked}/{len(rows)} runs healthy")
 
 
-def check_sharded_async(base_path, fresh_path, failures):
-    """Hard gate for the sharded-async rows of the fig14 bench.
-
-    The domain-sharded engine must keep running the async strategies.
-    Every "/sharded" run named in the committed baseline must be
-    present in the fresh report, error-free, and show real progress:
-    training iterations > 0 AND at least one window executed on the
-    parallel engine (perf.shard_windows > 0 — a run that silently fell
-    back to the serial engine has no business passing).
-    """
-    with open(base_path) as f:
-        base = {r["name"]: r for r in json.load(f).get("runs", [])}
-    sharded = {n: r for n, r in base.items() if "/sharded" in n}
-    if not sharded:
-        failures.append(
-            (base_path.name, "baseline names no sharded-async runs"))
-        return
-    with open(fresh_path) as f:
-        fresh = {r["name"]: r for r in json.load(f).get("runs", [])}
-    checked = 0
-    for name in sorted(sharded):
-        r = fresh.get(name)
-        if r is None:
-            failures.append((name, "missing from fresh async report"))
-            continue
-        if r.get("error"):
-            failures.append((name, f"errored: {r['error']}"))
-            continue
-        if r.get("iterations", 0) <= 0:
-            failures.append((name, "zero iterations on the sharded engine"))
-            continue
-        if r.get("perf", {}).get("shard_windows", 0) <= 0:
-            failures.append(
-                (name, "zero windows: fell back off the sharded engine"))
-            continue
-        checked += 1
-    print(f"# sharded-async: {checked}/{len(sharded)} runs healthy")
-
-
 FAIRNESS_FLOOR = 0.90
 
 SLOT_KEYS = (
@@ -237,19 +198,6 @@ def main():
             check_failover(recovery_base, recovery_fresh, failures)
         else:
             print("WARN: no fresh report for BENCH_fault_recovery.json")
-    async_base = args.baselines / "BENCH_fig14_async_curves.json"
-    async_fresh = args.reports_dir / "BENCH_fig14_async_curves.json"
-    if not async_base.exists():
-        # Unlike the warn-only micro baselines this one is a hard
-        # requirement: losing it would silently stop gating the
-        # sharded-async datapath.
-        failures.append(
-            (async_base.name, "sharded-async baseline missing"))
-    elif not async_fresh.exists():
-        failures.append(
-            (async_fresh.name, "no fresh sharded-async report"))
-    else:
-        check_sharded_async(async_base, async_fresh, failures)
     sharing_base = args.baselines / "BENCH_switch_sharing.json"
     sharing_fresh = args.reports_dir / "BENCH_switch_sharing.json"
     if sharing_base.exists():

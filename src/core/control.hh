@@ -124,13 +124,12 @@ class MembershipTable
 };
 
 /**
- * Heartbeat-based failure detector (HA layer, DESIGN.md §16). The
+ * Heartbeat-based failure detector (HA layer, DESIGN.md §15). The
  * primary beats every `period`; the backup calls check() on its own
  * timer and classifies the primary by consecutive missed periods:
  * alive (< 2 misses — one miss is normal jitter between the beat and
  * check phases), suspect (>= 2), confirmed dead (>= miss_threshold).
- * Pure bookkeeping — no events, no network — so it is trivially
- * domain-safe: beat() and check() both run in the backup's domain.
+ * Pure bookkeeping — no events, no network.
  */
 class HeartbeatMonitor
 {

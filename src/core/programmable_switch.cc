@@ -47,7 +47,7 @@ ProgrammableSwitch::ProgrammableSwitch(sim::Simulation &s, std::string name,
                   // A promoted backup keeps the replicated partial:
                   // state frames carry the full contributor set, so
                   // deduped retransmissions fold in exactly the
-                  // missing contributions (DESIGN.md §16).
+                  // missing contributions (DESIGN.md §15).
                   if (ha_promoted_ && accel_.pool().has(key) &&
                       accel_.dedupeFor(segWordJob(key)))
                       return;

@@ -72,7 +72,7 @@ class ProgrammableSwitch : public net::EthSwitch
     /** Completed results re-sendable via Help, keyed by segment. */
     std::size_t cachedResults() const { return result_cache_.size(); }
 
-    // ----- High-availability roles (DESIGN.md §16) -----
+    // ----- High-availability roles (DESIGN.md §15) -----
 
     /**
      * Make this switch the HA primary: every accepted partial,
@@ -181,8 +181,7 @@ class ProgrammableSwitch : public net::EthSwitch
     std::unordered_map<std::uint8_t, std::uint64_t> max_seg_seen_;
     /**
      * Registry counters resolved at construction so the hot path never
-     * concatenates names or mutates the registry map — required once
-     * switches execute on shard-domain threads (sim/shard.hh).
+     * concatenates names or looks up the registry map.
      */
     struct HotCounters
     {

@@ -1,7 +1,7 @@
 /**
  * @file
  * Primary -> backup state replication for the HA switch layer
- * (DESIGN.md §16).
+ * (DESIGN.md §15).
  *
  * The primary aggregation switch streams three kinds of kTosRepl
  * frames to its designated backup over a dedicated peer link:
@@ -167,8 +167,7 @@ class ReplicatedAccelerator
     Accelerator &accel_;
     ReplicationConfig cfg_;
     SendFn send_;
-    /** Insertion-ordered dirty set: deterministic flush order keeps
-     *  serial and sharded runs byte-identical. */
+    /** Insertion-ordered dirty set: deterministic flush order. */
     std::vector<std::uint64_t> dirty_order_;
     std::unordered_set<std::uint64_t> dirty_;
     sim::TimeNs last_flush_ = 0;

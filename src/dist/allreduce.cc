@@ -119,7 +119,7 @@ SyncAllReduceJob::sendStep(WorkerCtx &w, std::size_t step)
             auto oit = out_[wp->index].find(tid);
             if (stopped() || oit == out_[wp->index].end())
                 return 0;
-            if (!crossDomainFabric()) {
+            if (!partitionedFabric()) {
                 // Free-ack model: consult the successor's assembler for
                 // what is still missing (absent = nothing arrived yet).
                 std::vector<std::uint64_t> missing;
@@ -142,11 +142,11 @@ SyncAllReduceJob::sendStep(WorkerCtx &w, std::size_t step)
                 }
                 return missing.size();
             }
-            // Partitioned fabric: the successor's assembler lives in
-            // its own domain — probe there, hop back here to resend.
-            // Stay armed (return 1) until the successor's completion
-            // defers a done() to this domain.
-            inDomainOf(workers_[rcv].host, [this, wp, tid, rcv] {
+            // Partitioned fabric: probe the successor's assembler one
+            // rack hop later, resend after another hop. Stay armed
+            // (return 1) until the successor's completion defers a
+            // done().
+            afterRackHop([this, wp, tid, rcv] {
                 if (stopped())
                     return;
                 const RingState &rr = ring_[rcv];
@@ -165,8 +165,8 @@ SyncAllReduceJob::sendStep(WorkerCtx &w, std::size_t step)
                     if (missing.empty())
                         return;
                 }
-                inDomainOf(wp->host, [this, wp, tid, all,
-                                      missing = std::move(missing)] {
+                afterRackHop([this, wp, tid, all,
+                              missing = std::move(missing)] {
                     auto oit = out_[wp->index].find(tid);
                     if (stopped() || oit == out_[wp->index].end())
                         return;
@@ -222,29 +222,20 @@ SyncAllReduceJob::onWorkerPacket(WorkerCtx &w, const net::PacketPtr &pkt)
     }
     if (it->second.offer(*chunk)) {
         // Transfer complete: release the predecessor's retransmission
-        // guard for it. The guard (timer + Outgoing entry) belongs to
-        // the predecessor's domain, so on a partitioned fabric the
-        // release hops there; transfer ids never repeat, so a stale
+        // guard for it (timer + Outgoing entry), one rack hop later on
+        // a partitioned fabric. Transfer ids never repeat, so a stale
         // lookup is a harmless no-op.
         if (recoveryEnabled()) {
             const std::size_t pred =
                 (w.index + workers_.size() - 1) % workers_.size();
             const std::uint64_t tid = chunk->transfer_id;
-            if (!crossDomainFabric()) {
+            afterRackHop([this, pred, tid] {
                 auto oit = out_[pred].find(tid);
                 if (oit != out_[pred].end()) {
                     oit->second.timer.done();
                     out_[pred].erase(oit);
                 }
-            } else {
-                inDomainOf(workers_[pred].host, [this, pred, tid] {
-                    auto oit = out_[pred].find(tid);
-                    if (oit != out_[pred].end()) {
-                        oit->second.timer.done();
-                        out_[pred].erase(oit);
-                    }
-                });
-            }
+            });
         }
         tryAdvance(w);
     }

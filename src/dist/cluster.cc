@@ -151,8 +151,6 @@ buildTreeCluster(sim::Simulation &s, const ClusterConfig &cfg)
             tor_cfg);
         c.leaves.push_back(tor);
 
-        tor->setDomain(static_cast<sim::DomainId>(r + 1));
-
         std::size_t used = 0;
         for (; used < cfg.per_rack && next_worker < cfg.num_workers;
              ++used, ++next_worker) {
@@ -160,7 +158,6 @@ buildTreeCluster(sim::Simulation &s, const ClusterConfig &cfg)
                 "worker" + std::to_string(next_worker),
                 net::Ipv4Addr(10, 0, static_cast<std::uint8_t>(r),
                               static_cast<std::uint8_t>(2 + used)));
-            h->setDomain(static_cast<sim::DomainId>(r + 1));
             c.topo->connectHost(h, tor, used, cfg.edge_link);
             tor->adminJoin(h->ip(), kWorkerPort, core::MemberType::kWorker);
             c.workers.push_back(h);
@@ -179,7 +176,6 @@ buildTreeCluster(sim::Simulation &s, const ClusterConfig &cfg)
         net::Host *h = c.topo->addHost(
             shards == 1 ? "ps" : "ps" + std::to_string(k),
             net::Ipv4Addr(10, 0, 254, static_cast<std::uint8_t>(2 + k)));
-        h->setDomain(static_cast<sim::DomainId>(rack + 1));
         c.topo->connectHost(h, c.leaves[rack],
                             cfg.per_rack + 1 + k / racks, cfg.edge_link);
         c.ps_shards.push_back(h); // not aggregation members
@@ -188,7 +184,7 @@ buildTreeCluster(sim::Simulation &s, const ClusterConfig &cfg)
         c.ps = c.ps_shards.front();
 
     if (cfg.ha.with_backup) {
-        // Second root-level switch in domain 0. Wired after the PS
+        // Second root-level switch. Wired after the PS
         // loop so subtreeHosts() already includes the PS shards.
         core::ProgrammableSwitchConfig bk_cfg = core_cfg; // root-style
         bk_cfg.ip = net::Ipv4Addr(10, 0, 255, 2);
@@ -215,12 +211,6 @@ buildTreeCluster(sim::Simulation &s, const ClusterConfig &cfg)
         bk->enableHaBackup(cfg.ha.heartbeat_period, cfg.ha.miss_threshold);
         c.backup = bk;
     }
-
-    // Shard plan: one domain per rack + domain 0 for the core. The
-    // only links crossing domains are the ToR uplinks (plus the ToR
-    // failover uplinks under HA, which share the same propagation).
-    c.sim_domains = racks + 1;
-    c.domain_lookahead = cfg.uplink.propagation;
     return c;
 }
 
@@ -312,7 +302,6 @@ buildFatTreeCluster(sim::Simulation &s, const ClusterConfig &cfg)
         auto *tor = c.topo->addSwitch<core::ProgrammableSwitch>(
             "tor" + std::to_string(r),
             cfg.per_rack + 1 + std::max<std::size_t>(1, rack_ps), tor_cfg);
-        tor->setDomain(static_cast<sim::DomainId>(r + 1));
         c.leaves.push_back(tor);
 
         std::size_t used = 0;
@@ -322,7 +311,6 @@ buildFatTreeCluster(sim::Simulation &s, const ClusterConfig &cfg)
                 "worker" + std::to_string(next_worker),
                 net::Ipv4Addr(10, 0, static_cast<std::uint8_t>(r),
                               static_cast<std::uint8_t>(2 + used)));
-            h->setDomain(static_cast<sim::DomainId>(r + 1));
             c.topo->connectHost(h, tor, used, cfg.edge_link);
             tor->adminJoin(h->ip(), kWorkerPort, core::MemberType::kWorker);
             c.workers.push_back(h);
@@ -340,7 +328,6 @@ buildFatTreeCluster(sim::Simulation &s, const ClusterConfig &cfg)
         net::Host *h = c.topo->addHost(
             shards == 1 ? "ps" : "ps" + std::to_string(k),
             net::Ipv4Addr(10, 0, 254, static_cast<std::uint8_t>(2 + k)));
-        h->setDomain(static_cast<sim::DomainId>(rack + 1));
         c.topo->connectHost(h, c.leaves[rack],
                             cfg.per_rack + 1 + k / racks, cfg.edge_link);
         c.ps_shards.push_back(h); // not aggregation members
@@ -349,9 +336,9 @@ buildFatTreeCluster(sim::Simulation &s, const ClusterConfig &cfg)
         c.ps = c.ps_shards.front();
 
     if (cfg.ha.with_backup) {
-        // AGG-layer backup: a second root-level switch in domain 0,
-        // pre-wired to every AGG. Wired after the PS loop so
-        // subtreeHosts() already includes the PS shards.
+        // AGG-layer backup: a second root-level switch, pre-wired to
+        // every AGG. Wired after the PS loop so subtreeHosts() already
+        // includes the PS shards.
         core::ProgrammableSwitchConfig bk_cfg = core_cfg; // root-style
         bk_cfg.ip = net::Ipv4Addr(10, 1, 254, 1);
         auto *bk = c.topo->addSwitch<core::ProgrammableSwitch>(
@@ -360,8 +347,7 @@ buildFatTreeCluster(sim::Simulation &s, const ClusterConfig &cfg)
             core::ProgrammableSwitch *agg = c.aggs[p];
             const std::size_t fail_port = agg->numPorts() - 1;
             // Failover links must stay up through a primary crash, so
-            // they are NOT recorded in primary_links. All endpoints
-            // live in domain 0 (the fabric layer).
+            // they are NOT recorded in primary_links.
             c.topo->connectPeers(agg, fail_port, bk, p, cfg.core_link);
             bk->addRoute(agg->ip(), p);
             for (net::Host *h : c.topo->subtreeHosts(agg))
@@ -378,13 +364,6 @@ buildFatTreeCluster(sim::Simulation &s, const ClusterConfig &cfg)
         bk->enableHaBackup(cfg.ha.heartbeat_period, cfg.ha.miss_threshold);
         c.backup = bk;
     }
-
-    // Shard plan: one domain per rack, domain 0 for the AGG + core
-    // fabric. Only the ToR uplinks cross domains (AGG <-> core links
-    // are internal to domain 0), so the lookahead is the ToR uplink
-    // propagation delay.
-    c.sim_domains = racks + 1;
-    c.domain_lookahead = cfg.uplink.propagation;
     return c;
 }
 

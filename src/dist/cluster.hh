@@ -11,11 +11,6 @@
  *    ToRs grouped into pods under AGG switches, AGGs under one core —
  *    three levels of hierarchical aggregation (ToR -> AGG -> Core),
  *    the regime SwitchML/NetReduce evaluate.
- *
- * The tree/fat-tree builders also assign shard domains (sim/shard.hh):
- * each rack (ToR + its hosts) is one domain, the AGG/core layer is
- * domain 0, and the conservative lookahead is the minimum propagation
- * delay among rack-boundary (ToR <-> parent) links.
  */
 
 #ifndef ISW_DIST_CLUSTER_HH
@@ -37,7 +32,7 @@ constexpr std::uint16_t kWorkerPort = 9999;
 constexpr std::uint16_t kPsPort = 9998;
 
 /**
- * High-availability layer (DESIGN.md §16): a designated backup switch
+ * High-availability layer (DESIGN.md §15): a designated backup switch
  * mirrors the root's membership and segment state and takes over on
  * confirmed primary death. Star fabrics get a shadow switch with
  * dual-homed hosts; tree/fat-tree fabrics get a second root-level
@@ -108,15 +103,6 @@ struct Cluster
     core::ProgrammableSwitch *leafOf(std::size_t i) const;
 
     std::size_t workersPerRack = 0; ///< 0 for star clusters
-
-    /**
-     * Shard-domain plan baked by the builder: rack r is domain r+1,
-     * the switch fabric above the ToRs is domain 0. 1 means "nothing
-     * to parallelize" (star). See sim/shard.hh.
-     */
-    std::size_t sim_domains = 1;
-    /** Lookahead = min propagation among domain-boundary links. */
-    sim::TimeNs domain_lookahead = 0;
 };
 
 /** Build the single-switch main cluster. */

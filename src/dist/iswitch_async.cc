@@ -23,7 +23,7 @@ AsyncIswitchJob::init()
     rx_.resize(workers_.size());
     for (auto &rx : rx_)
         rx.reset(fmt_);
-    lwu_busy_.assign(workers_.size(), 0);
+    lwu_busy_.assign(workers_.size(), false);
     if (cfg_.precision == net::Precision::kInt32)
         static_qexp_.assign(fmt_.segments(), ml::kDefaultQexp);
     sent_.assign(workers_.size(), 0);
@@ -94,7 +94,7 @@ AsyncIswitchJob::lgcLoop(WorkerCtx &w)
             sent_[w.index] > w.ts ? sent_[w.index] - w.ts : 0;
         const bool backlog_ok = backlog <= cfg_.staleness_bound;
         if (fresh && backlog_ok) {
-            committed_.fetch_add(1, std::memory_order_relaxed);
+            ++committed_;
             ++sent_[w.index];
             // Nonblocking send (line 9).
             ml::Vec grad = w.pending_grad; // snapshot for transmission
@@ -111,7 +111,7 @@ AsyncIswitchJob::lgcLoop(WorkerCtx &w)
                 }
             });
         } else {
-            skipped_.fetch_add(1, std::memory_order_relaxed);
+            ++skipped_;
         }
         ++w.round;
         lgcLoop(w); // pipeline: the next LGC starts immediately

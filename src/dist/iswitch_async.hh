@@ -18,7 +18,6 @@
 #ifndef ISW_DIST_ISWITCH_ASYNC_HH
 #define ISW_DIST_ISWITCH_ASYNC_HH
 
-#include <atomic>
 #include <deque>
 
 #include "dist/strategy.hh"
@@ -55,15 +54,11 @@ class AsyncIswitchJob : public JobBase
     WireFormat fmt_;
     std::uint32_t h_ = 0; ///< effective aggregation threshold
     std::vector<MultiRoundAssembler> rx_;
-    /** uint8_t, not bool: vector<bool> packs bits, so two workers in
-     *  different sim domains would race on the same word. */
-    std::vector<std::uint8_t> lwu_busy_;
+    std::vector<bool> lwu_busy_;
     /** Per-worker gradients committed (for send-side backpressure). */
     std::vector<std::uint64_t> sent_;
-    /** Atomic: every worker's domain increments these; relaxed adds
-     *  are commutative, so totals are thread-count-deterministic. */
-    std::atomic<std::uint64_t> committed_{0}; ///< gradients sent (stats)
-    std::atomic<std::uint64_t> skipped_{0}; ///< dropped as too stale
+    std::uint64_t committed_ = 0; ///< gradients sent (stats)
+    std::uint64_t skipped_ = 0;   ///< dropped as too stale
     /** Snapshot of the last committed gradient, for re-contribution
      *  (pending_grad mutates as the LGC pipeline runs ahead). */
     std::vector<ml::Vec> last_sent_;
@@ -80,16 +75,8 @@ class AsyncIswitchJob : public JobBase
     std::vector<std::int8_t> static_qexp_;
 
   public:
-    std::uint64_t
-    gradientsCommitted() const
-    {
-        return committed_.load(std::memory_order_relaxed);
-    }
-    std::uint64_t
-    gradientsSkipped() const
-    {
-        return skipped_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t gradientsCommitted() const { return committed_; }
+    std::uint64_t gradientsSkipped() const { return skipped_; }
 };
 
 } // namespace isw::dist

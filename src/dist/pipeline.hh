@@ -46,8 +46,8 @@ struct PipelineStats
 
 /**
  * One worker's (or server's) pipeline stage. Stateful only in its
- * counters; give each simulated endpoint its own instance — sharded
- * runs execute workers on different domain threads.
+ * counters; give each simulated endpoint its own instance so the
+ * counters stay per endpoint.
  */
 class PrePostProcessor
 {

@@ -30,29 +30,13 @@ AsyncPsJob::AsyncPsJob(const JobConfig &cfg) : JobBase(cfg)
     srv_applied_.assign(workers_.size(), 0);
     srv_asm_seq_.assign(workers_.size(), 0);
     rx_ver_.assign(workers_.size(), kNoVer);
-    pull_outstanding_.assign(workers_.size(), 0);
+    pull_outstanding_.assign(workers_.size(), false);
     push_retx_.resize(workers_.size());
     pull_retx_.resize(workers_.size());
     for (std::size_t i = 0; i < workers_.size(); ++i) {
         configureTimer(push_retx_[i]);
         configureTimer(pull_retx_[i]);
     }
-}
-
-std::uint64_t
-AsyncPsJob::stalenessVersion() const
-{
-    return sim_->sharded()
-               ? srv_version_pub_.load(std::memory_order_relaxed)
-               : srv_version_;
-}
-
-void
-AsyncPsJob::onShardBarrier()
-{
-    // Runs on the coordinator thread between windows; the window join
-    // orders it after every event the server's domain executed.
-    srv_version_pub_.store(srv_version_, std::memory_order_relaxed);
 }
 
 void
@@ -65,15 +49,11 @@ AsyncPsJob::start()
         w.host->setReceiveHandler(
             [this, wp](net::PacketPtr pkt) { onWorkerPacket(*wp, pkt); });
     }
-    // Anchor each initial pull in its worker's home domain: start()
-    // runs in setup context (events land in domain 0), but the pull
-    // retransmission timer must be armed where done() will later run —
-    // the worker's own domain. Zero-delay wrappers in worker order keep
-    // the serial event sequence (and reports) byte-identical.
+    // Each initial pull is its own zero-delay event, in worker order;
+    // the event counts in every Async PS report include them.
     for (auto &w : workers_) {
         WorkerCtx *wp = &w;
-        sim_->atInDomain(w.host->domain(), sim_->now(),
-                         [this, wp] { pullWeights(*wp); });
+        sim_->at(sim_->now(), [this, wp] { pullWeights(*wp); });
     }
 }
 
@@ -139,27 +119,13 @@ AsyncPsJob::onPsPacket(const net::PacketPtr &pkt)
         if (!srv_rx_[idx].offer(*chunk))
             return;
         srv_applied_[idx] = seq;
-        // The push timer lives in the worker's domain; done() hops.
-        deferDone(push_retx_[idx], workers_[idx].host);
+        deferDone(push_retx_[idx]);
         // Full gradient received: apply it after the update cost.
         const sim::TimeNs wu =
             cfg_.profile.sample(IterComponent::kWeightUpdate, ps_rng_);
-        if (!sim_->sharded()) {
-            workers_[idx].metrics.add(IterComponent::kWeightUpdate, wu);
-            workers_[idx].metrics.add(IterComponent::kGradAggregation,
-                                      sim_->now() - workers_[idx].lgc_end);
-        } else {
-            // lgc_end and the accumulator belong to the worker's
-            // domain: attribute there, against the arrival timestamp.
-            WorkerCtx *wp = &workers_[idx];
-            const sim::TimeNs arrive = sim_->now();
-            inDomainOf(wp->host, [this, wp, wu, arrive] {
-                wp->metrics.add(IterComponent::kWeightUpdate, wu);
-                wp->metrics.add(IterComponent::kGradAggregation,
-                                arrive > wp->lgc_end ? arrive - wp->lgc_end
-                                                     : 0);
-            });
-        }
+        workers_[idx].metrics.add(IterComponent::kWeightUpdate, wu);
+        workers_[idx].metrics.add(IterComponent::kGradAggregation,
+                                  sim_->now() - workers_[idx].lgc_end);
         const ml::Vec grad = srv_rx_[idx].vector();
         srv_rx_[idx].reset();
         sim_->after(cfg_.overhead.recv + wu, [this, grad] {
@@ -210,11 +176,8 @@ AsyncPsJob::lgc(WorkerCtx &w)
     WorkerCtx *wp = &w;
     scheduleLgc(w, [this, wp, tw] {
         // Algorithm 1's staleness rule, applied to the PS baseline for
-        // a fair comparison: commit only lightly stale gradients. The
-        // snapshot can lag the version we installed from (tw), so
-        // clamp instead of letting unsigned subtraction wrap.
-        const std::uint64_t v = stalenessVersion();
-        if ((v > tw ? v - tw : 0) <= cfg_.staleness_bound) {
+        // a fair comparison: commit only lightly stale gradients.
+        if (srv_version_ - tw <= cfg_.staleness_bound) {
             const std::uint64_t seq = ++push_seq_[wp->index];
             sim_->after(cfg_.overhead.send, [this, wp, seq] {
                 const std::uint64_t tid =
@@ -230,7 +193,7 @@ AsyncPsJob::lgc(WorkerCtx &w)
                     const std::size_t i = wp->index;
                     if (stopped() || push_seq_[i] != seq)
                         return 0;
-                    if (!crossDomainFabric()) {
+                    if (!partitionedFabric()) {
                         if (srv_applied_[i] >= seq)
                             return 0;
                         // If the server never adopted this seq, all of
@@ -255,8 +218,8 @@ AsyncPsJob::lgc(WorkerCtx &w)
                         return missing.size();
                     }
                     // Partitioned fabric: probe the server's assembler
-                    // in its home domain, hop back here to resend.
-                    inDomainOf(cluster_.ps, [this, wp, tid, seq] {
+                    // one rack hop later, resend after another hop.
+                    afterRackHop([this, wp, tid, seq] {
                         const std::size_t i = wp->index;
                         if (stopped() || srv_applied_[i] >= seq ||
                             srv_asm_seq_[i] > seq)
@@ -272,9 +235,8 @@ AsyncPsJob::lgc(WorkerCtx &w)
                         }
                         if (missing.empty())
                             return;
-                        inDomainOf(wp->host,
-                                   [this, wp, tid, seq,
-                                    missing = std::move(missing)] {
+                        afterRackHop([this, wp, tid, seq,
+                                      missing = std::move(missing)] {
                             const std::size_t i = wp->index;
                             if (stopped() || push_seq_[i] != seq)
                                 return;

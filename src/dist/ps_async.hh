@@ -12,7 +12,6 @@
 #ifndef ISW_DIST_PS_ASYNC_HH
 #define ISW_DIST_PS_ASYNC_HH
 
-#include <atomic>
 #include <deque>
 
 #include "dist/strategy.hh"
@@ -34,13 +33,6 @@ class AsyncPsJob : public JobBase
     void onPsPacket(const net::PacketPtr &pkt);
     void onWorkerPacket(WorkerCtx &w, const net::PacketPtr &pkt);
 
-    /** Server version as seen by a worker's staleness check: the live
-     *  counter in serial runs (byte-identical to pre-sharding reports),
-     *  the barrier-published snapshot when sharded (no cross-domain
-     *  race on the server's live counter). */
-    std::uint64_t stalenessVersion() const;
-    void onShardBarrier() override;
-
     WireFormat fmt_;
     /** Weight-pull replies stay raw fp32 regardless of cfg_.precision:
      *  quantizing installed weights would compound error every pull,
@@ -49,11 +41,6 @@ class AsyncPsJob : public JobBase
     ml::Vec srv_weights_;
     std::unique_ptr<ml::Optimizer> srv_opt_;
     std::uint64_t srv_version_ = 0;
-    /** Snapshot of srv_version_ taken at every sharded window barrier
-     *  (the engine's only globally-ordered point); workers read their
-     *  staleness bound from here so runs are deterministic across
-     *  shard_threads. Unused in serial runs. */
-    std::atomic<std::uint64_t> srv_version_pub_{0};
     std::vector<VectorAssembler> srv_rx_; ///< per-worker gradient streams
     std::vector<std::uint64_t> installed_version_;
     sim::Rng ps_rng_;
@@ -71,9 +58,7 @@ class AsyncPsJob : public JobBase
     /** Weight version the worker's assembler is collecting (kNoVer =
      *  idle: adopt whatever reply arrives next). */
     std::vector<std::uint64_t> rx_ver_;
-    /** uint8_t, not bool: vector<bool> packs bits, so two workers in
-     *  different sim domains would race on the same word. */
-    std::vector<std::uint8_t> pull_outstanding_;
+    std::vector<bool> pull_outstanding_;
     std::deque<RetxTimer> push_retx_;
     std::deque<RetxTimer> pull_retx_;
 };

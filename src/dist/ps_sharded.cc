@@ -80,7 +80,7 @@ SyncShardedPsJob::SyncShardedPsJob(const JobConfig &cfg) : JobBase(cfg)
             per_shard[s].reset(shards_[s].fmt);
     }
     ps_rng_ = sim_->forkRng();
-    if (crossDomainFabric()) {
+    if (partitionedFabric()) {
         shard_rng_.reserve(k);
         for (std::size_t s = 0; s < k; ++s)
             shard_rng_.push_back(sim_->forkRng());
@@ -137,7 +137,7 @@ SyncShardedPsJob::beginRound(WorkerCtx &w)
                     [this, wp, s, r]() -> std::size_t {
                         if (stopped())
                             return 0;
-                        if (!crossDomainFabric()) {
+                        if (!partitionedFabric()) {
                             if (state_[s].round != r)
                                 return 0;
                             const ShardSpec &sp = shards_[s];
@@ -163,19 +163,17 @@ SyncShardedPsJob::beginRound(WorkerCtx &w)
                             return n;
                         }
                         // Partitioned fabric: probe the shard's
-                        // assembler in its home domain, hop back to
-                        // the worker's domain to resend.
-                        inDomainOf(cluster_.ps_shards[s],
-                                   [this, wp, s, r] {
+                        // assembler one rack hop later, resend after
+                        // another hop.
+                        afterRackHop([this, wp, s, r] {
                             if (stopped() || state_[s].round != r)
                                 return;
                             std::vector<std::uint64_t> missing =
                                 state_[s].rx[wp->index].missingSegments();
                             if (missing.empty())
                                 return;
-                            inDomainOf(wp->host,
-                                       [this, wp, s, r,
-                                        missing = std::move(missing)] {
+                            afterRackHop([this, wp, s, r,
+                                          missing = std::move(missing)] {
                                 if (stopped() || wp->round != r)
                                     return;
                                 const ShardSpec &sp = shards_[s];
@@ -215,9 +213,7 @@ SyncShardedPsJob::onShardPacket(std::size_t shard, const net::PacketPtr &pkt)
         tidRound(chunk->transfer_id) != st.round)
         return; // stale round (late retransmission): drop
     if (st.rx[widx].offer(*chunk)) {
-        // The timer lives in the worker's domain; done() hops there.
-        deferDone(grad_retx_[widx * shards_.size() + shard],
-                  workers_[widx].host);
+        deferDone(grad_retx_[widx * shards_.size() + shard]);
         if (++st.received == workers_.size())
             shardAggregate(shard);
     }
@@ -241,9 +237,9 @@ SyncShardedPsJob::shardAggregate(std::size_t shard)
     // Every shard performs its slice of the weight update; slices run
     // in parallel so the visible update cost is one shard's share. On
     // a partitioned fabric each shard samples its own rng fork and
-    // publishes into its own slot (single-writer per domain).
+    // publishes into its own slot.
     sim::TimeNs wu_share;
-    if (crossDomainFabric()) {
+    if (partitionedFabric()) {
         wu_share = cfg_.profile.sample(IterComponent::kWeightUpdate,
                                        shard_rng_[shard]) /
                    shards_.size();
@@ -280,7 +276,7 @@ SyncShardedPsJob::shardAggregate(std::size_t shard)
                     [this, shard, wp, tid, round]() -> std::size_t {
                         if (stopped())
                             return 0;
-                        if (!crossDomainFabric()) {
+                        if (!partitionedFabric()) {
                             if (wp->round != round)
                                 return 0;
                             std::size_t n = 0;
@@ -300,12 +296,11 @@ SyncShardedPsJob::shardAggregate(std::size_t shard)
                             }
                             return n;
                         }
-                        // Probe the worker's assembler in its domain,
-                        // then resend from the shard's domain. The
-                        // round guard on the shard side keeps stale
-                        // resends off a recycled st.sum.
-                        inDomainOf(wp->host, [this, shard, wp, tid,
-                                              round] {
+                        // Probe the worker's assembler one rack hop
+                        // later, resend after another hop. The round
+                        // guard on the shard side keeps stale resends
+                        // off a recycled st.sum.
+                        afterRackHop([this, shard, wp, tid, round] {
                             if (stopped() || wp->round != round)
                                 return;
                             std::vector<std::uint64_t> missing =
@@ -313,9 +308,8 @@ SyncShardedPsJob::shardAggregate(std::size_t shard)
                                     .missingSegments();
                             if (missing.empty())
                                 return;
-                            inDomainOf(cluster_.ps_shards[shard],
-                                       [this, shard, wp, tid, round,
-                                        missing = std::move(missing)] {
+                            afterRackHop([this, shard, wp, tid, round,
+                                          missing = std::move(missing)] {
                                 if (stopped() ||
                                     state_[shard].round != round + 1)
                                     return;
@@ -354,9 +348,7 @@ SyncShardedPsJob::onWorkerPacket(WorkerCtx &w, const net::PacketPtr &pkt)
         tidRound(chunk->transfer_id) != w.round)
         return; // stale round (late retransmission): drop
     if (worker_rx_[w.index][shard].offer(*chunk)) {
-        // The timer lives in the shard's domain; done() hops there.
-        deferDone(result_retx_[w.index * shards_.size() + shard],
-                  cluster_.ps_shards[shard]);
+        deferDone(result_retx_[w.index * shards_.size() + shard]);
         if (++slices_done_[w.index] == shards_.size())
             onSlicesComplete(w);
     }
@@ -380,11 +372,11 @@ SyncShardedPsJob::onSlicesComplete(WorkerCtx &w)
         slices_done_[w.index] = 0;
 
         // Partitioned fabrics publish per-shard wu shares; the round's
-        // critical path is the slowest shard. Each shard_wu_ slot is
-        // safely readable here: a shard cannot recycle it for round
-        // r+1 until this worker (among all) scatters r+1.
+        // critical path is the slowest shard. Each shard_wu_ slot still
+        // holds round r here: a shard cannot recycle it for round r+1
+        // until this worker (among all) scatters r+1.
         sim::TimeNs server_wu = last_server_wu_;
-        if (crossDomainFabric()) {
+        if (partitionedFabric()) {
             server_wu = 0;
             for (sim::TimeNs wu : shard_wu_)
                 server_wu = std::max(server_wu, wu);

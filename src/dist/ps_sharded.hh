@@ -47,8 +47,7 @@ class SyncShardedPsJob : public JobBase
         std::size_t received = 0;
         std::uint64_t round = 0; ///< round this shard is collecting
         ml::Vec sum;
-        /** The shard's pipeline stage for result sends (per shard:
-         *  sharded runs may execute shards on domain threads). */
+        /** The shard's pipeline stage for result sends. */
         std::unique_ptr<PrePostProcessor> ppp;
     };
 
@@ -68,12 +67,10 @@ class SyncShardedPsJob : public JobBase
     std::vector<ml::Vec> agg_;
     sim::TimeNs last_server_wu_ = 0;
     sim::Rng ps_rng_;
-    /** Partitioned fabrics place each shard in its own domain, so the
-     *  shared rng/last_wu pair above would be multi-writer. Instead
-     *  each shard samples from its own fork and publishes its round's
-     *  weight-update share here (single-writer per slot); workers take
-     *  the max across shards when splitting the round's charge. Empty
-     *  on star fabrics (legacy path, byte-identical reports). */
+    /** On partitioned fabrics each shard samples its weight-update
+     *  share from its own rng fork instead of the shared pair above and
+     *  publishes it here; workers take the max across shards when
+     *  splitting the round's charge. Empty on star fabrics. */
     std::vector<sim::Rng> shard_rng_;
     std::vector<sim::TimeNs> shard_wu_;
     /** Loss-recovery timers, flattened worker * K + shard (deque:

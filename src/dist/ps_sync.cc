@@ -82,7 +82,7 @@ SyncPsJob::beginRound(WorkerCtx &w)
             grad_retx_[wp->index].arm([this, wp, r]() -> std::size_t {
                 if (stopped())
                     return 0;
-                if (!crossDomainFabric()) {
+                if (!partitionedFabric()) {
                     if (srv_round_ != r)
                         return 0;
                     std::size_t n = 0;
@@ -99,20 +99,19 @@ SyncPsJob::beginRound(WorkerCtx &w)
                     }
                     return n;
                 }
-                // Partitioned fabric: the server's assembler lives in
-                // another domain, so the timer probes it there and the
-                // resend hops back to the worker's domain. The timer
-                // stays armed (return 1) until the server's completion
-                // defers a done() to this domain.
-                inDomainOf(cluster_.ps, [this, wp, r] {
+                // Partitioned fabric: the timer probes the server's
+                // assembler one rack hop later and resends after
+                // another hop. The timer stays armed (return 1) until
+                // the server's completion defers a done().
+                afterRackHop([this, wp, r] {
                     if (stopped() || srv_round_ != r)
                         return;
                     std::vector<std::uint64_t> missing =
                         ps_rx_[wp->index].missingSegments();
                     if (missing.empty())
                         return;
-                    inDomainOf(wp->host, [this, wp, r,
-                                          missing = std::move(missing)] {
+                    afterRackHop([this, wp, r,
+                                  missing = std::move(missing)] {
                         if (stopped() || wp->round != r)
                             return;
                         for (std::uint64_t seg : missing) {
@@ -142,8 +141,7 @@ SyncPsJob::onPsPacket(const net::PacketPtr &pkt)
     if (widx >= ps_rx_.size() || tidRound(chunk->transfer_id) != srv_round_)
         return; // stale round (late retransmission): drop
     if (ps_rx_[widx].offer(*chunk)) {
-        // The timer lives in the worker's domain; done() hops there.
-        deferDone(grad_retx_[widx], workers_[widx].host);
+        deferDone(grad_retx_[widx]);
         if (++ps_received_ == workers_.size())
             serverAggregate();
     }
@@ -192,7 +190,7 @@ SyncPsJob::serverAggregate()
                                              round]() -> std::size_t {
                     if (stopped())
                         return 0;
-                    if (!crossDomainFabric()) {
+                    if (!partitionedFabric()) {
                         if (wp->round != round)
                             return 0;
                         std::size_t n = 0;
@@ -207,21 +205,20 @@ SyncPsJob::serverAggregate()
                         }
                         return n;
                     }
-                    // Probe the worker's assembler in its own domain,
-                    // then resend from the server's domain. srv_round_
-                    // guards ps_sum_ liveness: once the next aggregate
+                    // Probe the worker's assembler one rack hop later,
+                    // resend after another hop. srv_round_ guards
+                    // ps_sum_ liveness: once the next aggregate
                     // overwrites it, stale resends are pointless (the
                     // receiver would drop them by round anyway).
-                    inDomainOf(wp->host, [this, wp, tid, round] {
+                    afterRackHop([this, wp, tid, round] {
                         if (stopped() || wp->round != round)
                             return;
                         std::vector<std::uint64_t> missing =
                             wp->rx.missingSegments();
                         if (missing.empty())
                             return;
-                        inDomainOf(cluster_.ps,
-                                   [this, wp, tid, round,
-                                    missing = std::move(missing)] {
+                        afterRackHop([this, wp, tid, round,
+                                      missing = std::move(missing)] {
                             if (stopped() || srv_round_ != round + 1)
                                 return;
                             for (std::uint64_t seg : missing) {
@@ -254,8 +251,7 @@ SyncPsJob::onWorkerPacket(WorkerCtx &w, const net::PacketPtr &pkt)
         tidRound(chunk->transfer_id) != w.round)
         return; // stale round or misrouted: drop
     if (w.rx.offer(*chunk)) {
-        // The timer was armed in the server's domain; done() hops there.
-        deferDone(result_retx_[w.index], cluster_.ps);
+        deferDone(result_retx_[w.index]);
         onWeightsComplete(w);
     }
 }

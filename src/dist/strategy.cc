@@ -73,8 +73,6 @@ JobBase::JobBase(const JobConfig &cfg) : cfg_(cfg)
     cluster_ = cfg_.use_fat_tree ? buildFatTreeCluster(*sim_, ccfg)
                : cfg_.use_tree   ? buildTreeCluster(*sim_, ccfg)
                                  : buildStarCluster(*sim_, ccfg);
-    if (cfg_.shard)
-        enableSharding();
 
     initWorkers();
     installFaults();
@@ -93,10 +91,6 @@ JobBase::JobBase(const JobConfig &cfg, const SharedWorld &world) : cfg_(cfg)
     if (cfg_.use_tree || cfg_.use_fat_tree)
         throw std::invalid_argument(
             "JobBase: shared fabrics are star clusters");
-    if (cfg_.shard)
-        throw std::invalid_argument(
-            "JobBase: sharded execution is owned-world only (shared "
-            "fabrics are single-switch stars with nothing to shard)");
     if (world.worker_offset + cfg_.num_workers >
         world.fabric->workers.size())
         throw std::invalid_argument(
@@ -120,22 +114,12 @@ JobBase::JobBase(const JobConfig &cfg, const SharedWorld &world) : cfg_(cfg)
     resolveRetx();
 }
 
-JobBase::~JobBase()
-{
-    // An async run can stop with deliveries still queued, and a queued
-    // event's packet recycles into its sealing domain's pool when the
-    // engine's queues unwind. Drop the simulation first so those
-    // recycles land in still-live `domain_pools_` (member order would
-    // destroy the pools before `owned_sim_`).
-    sim_ = nullptr;
-    owned_sim_.reset();
-}
+JobBase::~JobBase() = default;
 
 void
 JobBase::initWorkers()
 {
     workers_.resize(cfg_.num_workers);
-    published_.resize(cfg_.num_workers);
     for (std::size_t i = 0; i < cfg_.num_workers; ++i) {
         WorkerCtx &w = workers_[i];
         w.index = i;
@@ -147,80 +131,28 @@ JobBase::initWorkers()
                                 /*env_seed=*/cfg_.seed * 104729 + 31 + i);
         w.rng = sim_->forkRng();
         w.ppp = makePipeline();
-        publishWorker(w);
     }
 }
 
 void
-JobBase::enableSharding()
+JobBase::afterRackHop(std::function<void()> fn)
 {
-    if (cluster_.sim_domains < 2)
-        throw std::invalid_argument(
-            "JobBase: sharding needs a multi-rack tree/fat-tree cluster "
-            "(set use_tree or use_fat_tree with num_workers > per_rack)");
-    sim::ShardPlan plan;
-    plan.domains = cluster_.sim_domains;
-    plan.lookahead = std::max<sim::TimeNs>(cluster_.domain_lookahead, 1);
-    plan.threads = cfg_.shard_threads;
-    sim_->shard(plan);
-    // One PacketPool per domain: every seal/recycle inside a window
-    // touches only the executing domain's free lists.
-    domain_pools_.resize(plan.domains);
-    sim_->engine()->setDomainHooks(
-        [this](sim::DomainId d) {
-            net::PacketPool::setLocalOverride(&domain_pools_[d]);
-        },
-        [](sim::DomainId) { net::PacketPool::setLocalOverride(nullptr); });
-    // Async staleness snapshots publish at window barriers (the lambda
-    // runs after construction, so the virtual dispatch reaches the
-    // subclass override).
-    sim_->engine()->setBarrierHook([this] { onShardBarrier(); });
-}
-
-void
-JobBase::inDomainOf(const net::Node *n, std::function<void()> fn)
-{
-    if (!crossDomainFabric()) {
-        fn(); // star / single-domain: legacy inline path, bit for bit
+    if (!partitionedFabric()) {
+        fn();
         return;
     }
-    sim_->atInDomain(n->domain(), sim_->now() + domainHopDelay(),
-                     std::move(fn));
+    sim_->after(std::max<sim::TimeNs>(cfg_.cluster.uplink.propagation, 1),
+                std::move(fn));
 }
 
 void
-JobBase::deferDone(RetxTimer &t, const net::Node *home)
+JobBase::deferDone(RetxTimer &t)
 {
-    if (!recovery_on_ || !crossDomainFabric()) {
+    if (!recovery_on_) {
         t.done(); // no-op when unconfigured: zero events either way
         return;
     }
-    sim_->atInDomain(home->domain(), sim_->now() + domainHopDelay(),
-                     [&t] { t.done(); });
-}
-
-void
-JobBase::publishWorker(const WorkerCtx &w)
-{
-    PublishedWorker &p = published_[w.index];
-    p.reward.store(w.agent->avgEpisodeReward(10), std::memory_order_relaxed);
-    p.episodes.store(w.agent->episodesCompleted(),
-                     std::memory_order_relaxed);
-}
-
-net::PacketPool::Stats
-JobBase::pooledPacketStats() const
-{
-    net::PacketPool::Stats s = net::PacketPool::local().stats();
-    for (const net::PacketPool &p : domain_pools_) {
-        const net::PacketPool::Stats d = p.stats();
-        s.sealed += d.sealed;
-        s.packet_allocs += d.packet_allocs;
-        s.packet_reuses += d.packet_reuses;
-        s.float_allocs += d.float_allocs;
-        s.float_reuses += d.float_reuses;
-    }
-    return s;
+    afterRackHop([&t] { t.done(); });
 }
 
 void
@@ -272,12 +204,8 @@ JobBase::installFaults()
         core::ProgrammableSwitch *leaf = cluster_.leafOf(c.worker);
         // The Leave departs at the crash instant, inside the injector's
         // grace window, driving the real membership/auto-H machinery;
-        // the Join goes out the moment the link is back up. Anchored in
-        // the host's home domain: the send must execute on the domain
-        // thread owning the host's NIC queues, and the resulting
-        // membership update then rides the ordinary mailbox path to the
-        // fabric domain. Serial engines ignore the domain.
-        sim_->atInDomain(h->domain(), c.crash_at, [h, leaf] {
+        // the Join goes out the moment the link is back up.
+        sim_->at(c.crash_at, [h, leaf] {
             net::ControlPayload leave;
             leave.action = net::Action::kLeave;
             h->sendTo(leaf->ip(), kSwitchPort, kWorkerPort,
@@ -285,7 +213,7 @@ JobBase::installFaults()
         });
         if (c.rejoin_at == 0)
             continue; // permanent fail-stop: the worker never rejoins
-        sim_->atInDomain(h->domain(), c.rejoin_at, [h, leaf] {
+        sim_->at(c.rejoin_at, [h, leaf] {
             net::ControlPayload join;
             join.action = net::Action::kJoin;
             join.has_value = true;
@@ -304,8 +232,7 @@ JobBase::scheduleHaTick()
         return;
     const sim::TimeNs period =
         std::max<sim::TimeNs>(cfg_.cluster.ha.heartbeat_period, 1);
-    // Root and backup both live in domain 0 on every fabric.
-    sim_->atInDomain(0, sim_->now() + period, [this] { haTick(); });
+    sim_->after(period, [this] { haTick(); });
 }
 
 void
@@ -326,7 +253,7 @@ JobBase::aggIpOf(const WorkerCtx &w) const
 {
     core::ProgrammableSwitch *leaf = cluster_.leafOf(w.index);
     if (leaf == cluster_.root && cluster_.backup != nullptr &&
-        ha_failed_over_.load(std::memory_order_relaxed))
+        ha_failed_over_)
         return cluster_.backup->ip();
     return leaf->ip();
 }
@@ -346,13 +273,14 @@ JobBase::checkFailoverFrame(const net::PacketPtr &pkt)
 void
 JobBase::handleFailover()
 {
-    if (ha_failed_over_.exchange(true, std::memory_order_relaxed))
+    if (ha_failed_over_)
         return;
+    ha_failed_over_ = true;
     if (cluster_.workersPerRack == 0) {
         // Star fabric: every dual-homed host (workers and PS shards
         // alike — the PS is not an aggregation member, so it never
         // sees the kFailover broadcast itself) flips to the backup
-        // NIC. Single-domain, so flipping them all here is safe.
+        // NIC.
         for (net::Host *h : cluster_.workers)
             h->setActiveUplink(1);
         for (net::Host *h : cluster_.ps_shards)
@@ -395,7 +323,6 @@ JobBase::scheduleLgc(WorkerCtx &w, std::function<void()> done)
     // simulated duration elapses.
     const ml::Vec &g = w.agent->computeGradient();
     w.pending_grad.assign(g.begin(), g.end());
-    publishWorker(w); // episode state may have advanced during compute
 
     // Straggler injection: a slowed worker's compute stretches
     // uniformly (and the stretched time is what its metrics record).
@@ -423,16 +350,10 @@ JobBase::scheduleLgc(WorkerCtx &w, std::function<void()> done)
     total += oth;
 
     WorkerCtx *wp = &w;
-    // Anchor the completion in the worker's rack domain: round 0 is
-    // scheduled from the setup thread (no domain context), and this
-    // pins each worker's whole event chain to its own domain under
-    // sharding. Serial engines ignore the domain, so timing and order
-    // are exactly the old after(total, ...).
-    sim_->atInDomain(wp->host->domain(), sim_->now() + total,
-                     [wp, done = std::move(done)] {
-                         wp->lgc_end = wp->host->simulation().now();
-                         done();
-                     });
+    sim_->after(total, [wp, done = std::move(done)] {
+        wp->lgc_end = wp->host->simulation().now();
+        done();
+    });
 }
 
 sim::TimeNs
@@ -447,21 +368,18 @@ JobBase::chargeWeightUpdate(WorkerCtx &w)
 double
 JobBase::clusterAvgReward() const
 {
-    // Published snapshots, not live agents: equal at every event
-    // boundary (workers republish whenever episode state changes) and
-    // safe to read from another domain's thread in sharded runs.
     double sum = 0.0;
-    for (const PublishedWorker &p : published_)
-        sum += p.reward.load(std::memory_order_relaxed);
-    return sum / static_cast<double>(published_.size());
+    for (const WorkerCtx &w : workers_)
+        sum += w.agent->avgEpisodeReward(10);
+    return sum / static_cast<double>(workers_.size());
 }
 
 std::uint64_t
 JobBase::totalEpisodes() const
 {
     std::uint64_t n = 0;
-    for (const PublishedWorker &p : published_)
-        n += p.episodes.load(std::memory_order_relaxed);
+    for (const WorkerCtx &w : workers_)
+        n += w.agent->episodesCompleted();
     return n;
 }
 
@@ -494,11 +412,10 @@ JobBase::checkStop()
 void
 JobBase::beginRun()
 {
-    // Serial jobs run wholly on the calling thread; sharded jobs spread
-    // over per-domain pools. Either way the summed counter deltas are
-    // exactly this job's traffic (for shared fabrics: the fabric's
-    // traffic since this job began).
-    const net::PacketPool::Stats pool0 = pooledPacketStats();
+    // A job runs wholly on the calling thread, so the thread-local
+    // pool's counter deltas are exactly this job's traffic (for shared
+    // fabrics: the fabric's traffic since this job began).
+    const net::PacketPool::Stats pool0 = net::PacketPool::local().stats();
     run_pool_sealed0_ = pool0.sealed;
     run_pool_pallocs0_ = pool0.packet_allocs;
     run_pool_fallocs0_ = pool0.float_allocs;
@@ -549,7 +466,7 @@ JobBase::finishRun(std::string error)
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       run_t0_)
             .count();
-    const net::PacketPool::Stats pool1 = pooledPacketStats();
+    const net::PacketPool::Stats pool1 = net::PacketPool::local().stats();
     const auto events =
         static_cast<double>(sim_->eventsExecuted() - run_events0_);
     const auto sealed =
@@ -583,24 +500,6 @@ JobBase::finishRun(std::string error)
     if (global_iters_ > 0)
         res.perf["allocs_per_iteration"] =
             fresh_allocs / static_cast<double>(global_iters_);
-    // Sharded-engine loop counters. The window/skip/batch counts are
-    // deterministic, but they describe the engine, not the experiment,
-    // and mailbox contention is genuinely scheduling-dependent — so
-    // all of them live in perf (excluded from resultToJson).
-    if (sim_->sharded()) {
-        const sim::ShardedEngine &eng = *sim_->engine();
-        res.perf["shard_windows"] = static_cast<double>(eng.windows());
-        res.perf["shard_windows_serial"] =
-            static_cast<double>(eng.windowsSerialFastPath());
-        res.perf["shard_domains_skipped"] =
-            static_cast<double>(eng.domainsSkipped());
-        res.perf["shard_cross_events"] =
-            static_cast<double>(eng.crossEvents());
-        res.perf["shard_cross_batches"] =
-            static_cast<double>(eng.crossBatches());
-        res.perf["shard_mailbox_contention"] =
-            static_cast<double>(eng.mailboxContention());
-    }
     collectExtras(res);
     return res;
 }

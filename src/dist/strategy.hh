@@ -13,10 +13,8 @@
 #ifndef ISW_DIST_STRATEGY_HH
 #define ISW_DIST_STRATEGY_HH
 
-#include <atomic>
 #include <chrono>
 #include <cmath>
-#include <deque>
 #include <limits>
 #include <memory>
 
@@ -106,21 +104,6 @@ struct JobConfig
      * cluster.racks_per_pod, and cluster.core_link shape the fabric.
      */
     bool use_fat_tree = false;
-    /**
-     * Execute on the domain-sharded parallel engine (sim/shard.hh):
-     * one domain per rack, windows bounded by the uplink propagation
-     * delay. Requires a multi-rack tree/fat-tree cluster (throws
-     * otherwise); every strategy and lossy/faulted environments are
-     * supported (DESIGN.md §15). Sync lossless and sync lossy reports
-     * are byte-identical to the serial engine; async reports are
-     * deterministic across shard_threads. Both hold up to
-     * sub-lookahead event ties, which the millisecond-scale compute
-     * jitter makes vanishingly unlikely; the determinism regression
-     * tests pin this.
-     */
-    bool shard = false;
-    /** Worker threads for the sharded engine (0 = one per core). */
-    unsigned shard_threads = 0;
     std::uint64_t seed = 1;
     /** Algorithm 1's staleness bound S (async strategies). */
     std::uint32_t staleness_bound = 3;
@@ -227,12 +210,8 @@ class JobBase
         sim::Rng rng; ///< timing jitter stream
         IterationMetrics metrics;
         VectorAssembler rx;
-        /**
-         * This worker's pipeline stage (always present; BypassPpp for
-         * fp32). Per worker, not per job: sharded runs execute
-         * workers on different domain threads and the stage keeps
-         * mutable counters.
-         */
+        /** This worker's pipeline stage (always present; BypassPpp
+         *  for fp32). Per worker: the stage keeps mutable counters. */
         std::unique_ptr<PrePostProcessor> ppp;
         ml::Vec pending_grad;     ///< gradient awaiting transmission
         sim::TimeNs lgc_end = 0;  ///< when the last LGC stage finished
@@ -316,66 +295,38 @@ class JobBase
     }
 
     /**
-     * True when the cluster is partitioned into >= 2 shard domains
-     * (multi-rack tree/fat-tree fabrics) — regardless of the engine
-     * actually in use. The cross-domain hop discipline below keys off
-     * the *fabric*, not off cfg_.shard, so a serial run of a
-     * partitioned fabric behaves identically to its sharded twin
-     * (byte-identical reports), while star clusters keep the legacy
-     * zero-hop paths bit for bit.
+     * True on rack-partitioned fabrics: every tree and fat-tree, one
+     * rack included. Stars and shared worlds are not partitioned.
+     * Retransmit paths on a partitioned fabric probe the other end's
+     * receive state and resend one rack hop later (afterRackHop);
+     * stars do both inline.
      */
-    bool crossDomainFabric() const { return cluster_.sim_domains >= 2; }
+    bool partitionedFabric() const { return cluster_.workersPerRack > 0; }
 
     /**
-     * Fixed delay when deferring work into another node's domain:
-     * the conservative window width, so a mid-window handoff is
-     * always a legal cross-domain schedule (now >= window start =>
-     * now + hop >= window end).
+     * Run @p fn inline on a star; on a partitioned fabric schedule it
+     * at now + max(uplink propagation, 1 ns). The hop shapes every
+     * lossy tree and fat-tree report (DESIGN.md §13).
      */
-    sim::TimeNs domainHopDelay() const
-    {
-        return std::max<sim::TimeNs>(cluster_.domain_lookahead, 1);
-    }
+    void afterRackHop(std::function<void()> fn);
 
     /**
-     * Run @p fn in the domain owning node @p n. Single-domain fabrics
-     * call it inline (zero new events — star reports unchanged);
-     * partitioned fabrics schedule it at now + domainHopDelay() in
-     * n's domain, on serial *and* sharded engines alike. Used to
-     * introspect another domain's receive state (retransmit probes)
-     * and to resend from the owning side.
+     * Complete @p t when its transfer was acknowledged on the far
+     * side: one rack hop later on a partitioned fabric, inline on a
+     * star or when recovery is off (lossless runs schedule zero extra
+     * events). The deferred done cannot race a re-arm: re-arming takes
+     * a full network round trip (>> one hop) after the completion
+     * that triggered it.
      */
-    void inDomainOf(const net::Node *n, std::function<void()> fn);
-
-    /**
-     * Complete @p t from a foreign domain: defers t.done() into the
-     * domain of @p home (the node whose event chain armed the timer).
-     * Inline on single-domain fabrics or when recovery is off, so
-     * lossless and star runs schedule zero extra events. The deferred
-     * done cannot race a re-arm: re-arming requires a full network
-     * round trip (>> one hop) after the completion that triggered it.
-     */
-    void deferDone(RetxTimer &t, const net::Node *home);
-
-    /**
-     * Window-barrier callback (sharded runs only): invoked on the
-     * owning thread after every conservative window, with all domains
-     * quiescent. Async strategies publish their cross-domain version
-     * snapshots here (DESIGN.md §15).
-     */
-    virtual void onShardBarrier() {}
+    void deferDone(RetxTimer &t);
 
     /** The attached fault injector, or nullptr. */
     net::FaultInjector *faultInjector() const { return injector_.get(); }
 
-    // ----- High-availability failover (DESIGN.md §16) -----
+    // ----- High-availability failover (DESIGN.md §15) -----
 
     /** Has the backup taken over (kFailover observed by this job)? */
-    bool
-    failedOver() const
-    {
-        return ha_failed_over_.load(std::memory_order_relaxed);
-    }
+    bool failedOver() const { return ha_failed_over_; }
 
     /**
      * Aggregation-plane address worker @p w targets: its leaf switch,
@@ -415,14 +366,7 @@ class JobBase
 
     std::uint64_t global_iters_ = 0;
     sim::TimeNs last_update_time_ = 0;
-    /**
-     * Atomic because sharded runs read the stop flag from every
-     * worker's domain thread while worker 0's domain writes it.
-     * Within one conservative window the read is racy by design —
-     * identical to serial order except for sub-lookahead event ties
-     * (see JobConfig::shard).
-     */
-    std::atomic<bool> stopped_{false};
+    bool stopped_ = false;
     bool reached_target_ = false;
     sim::TimeSeries curve_;
     /** Shared recovery counters (all strategies' timers feed here). */
@@ -439,46 +383,12 @@ class JobBase
     /** One HA tick: primary heartbeat + backup liveness check. */
     void haTick();
 
-    /**
-     * Switch sim_ to the domain-sharded engine per the cluster's shard
-     * plan and give every domain a private PacketPool. Owned-world
-     * only; throws unless the cluster is multi-rack (any strategy,
-     * lossy or lossless — DESIGN.md §15).
-     */
-    void enableSharding();
-
-    /**
-     * Worker state mirrored for cross-domain readers. Sharded runs
-     * sample reward curves and stop conditions from worker 0's domain
-     * while other workers' agents are stepping on their own threads;
-     * reading the agents directly would race. Each worker republishes
-     * after every gradient computation (the only point its episode
-     * state changes), so the snapshot equals the live value at every
-     * event boundary — serial runs read it too and are byte-identical.
-     */
-    struct PublishedWorker
-    {
-        std::atomic<double> reward{0.0};
-        std::atomic<std::uint64_t> episodes{0};
-    };
-
-    /** Refresh @p w's published snapshot from its agent. */
-    void publishWorker(const WorkerCtx &w);
-
-    /** Pool counters summed across the main thread and all domains. */
-    net::PacketPool::Stats pooledPacketStats() const;
-
     std::unique_ptr<net::FaultInjector> injector_;
-    /** deque: atomics are neither movable nor copyable. */
-    std::deque<PublishedWorker> published_;
-    /** Per-domain packet pools for sharded runs (index = domain id). */
-    std::deque<net::PacketPool> domain_pools_;
     RetransmitPolicy retx_; ///< resolved policy (timeout never 0)
     bool recovery_on_ = false;
     std::uint8_t job_id_ = 0;
     std::uint32_t slot_quota_ = 0;
-    /** Atomic: kFailover frames can land on any domain's thread. */
-    std::atomic<bool> ha_failed_over_{false};
+    bool ha_failed_over_ = false;
 
     /** beginRun() snapshots, consumed by finishRun(). */
     std::uint64_t run_pool_sealed0_ = 0;

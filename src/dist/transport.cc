@@ -87,15 +87,9 @@ sendVectorSegment(net::Host &host, net::Ipv4Addr dst_ip,
 void
 RecoveryStats::recordRecovery(sim::TimeNs latency)
 {
-    recoveries.fetch_add(1, std::memory_order_relaxed);
-    latency_total.fetch_add(latency, std::memory_order_relaxed);
-    // CAS max: fetch_max is C++26, so spin until our value is in or
-    // a concurrent recorder's larger one already is.
-    sim::TimeNs seen = latency_max.load(std::memory_order_relaxed);
-    while (latency > seen &&
-           !latency_max.compare_exchange_weak(seen, latency,
-                                              std::memory_order_relaxed))
-        ;
+    ++recoveries;
+    latency_total += latency;
+    latency_max = std::max(latency_max, latency);
     const double ms = sim::toMillis(latency);
     std::size_t bucket = 0;
     for (const double edge : {1.0, 4.0, 16.0, 64.0, 256.0}) {
@@ -103,16 +97,13 @@ RecoveryStats::recordRecovery(sim::TimeNs latency)
             break;
         ++bucket;
     }
-    latency_hist[bucket].fetch_add(1, std::memory_order_relaxed);
+    ++latency_hist[bucket];
 }
 
 RetxTimer::~RetxTimer()
 {
-    // Teardown runs on the owning thread after the run: cancel through
-    // the domain that scheduled the event (cancelEvent would assume
-    // the *caller's* domain and hit the wrong queue under sharding).
     if (sim_ != nullptr)
-        sim_->cancelEventIn(pending_domain_, pending_);
+        sim_->cancelEvent(pending_);
 }
 
 void
@@ -157,7 +148,7 @@ RetxTimer::finish(bool record)
         return;
     if (record && first_timeout_at_ != 0)
         stats_->recordRecovery(sim_->now() - first_timeout_at_);
-    sim_->cancelEventIn(pending_domain_, pending_);
+    sim_->cancelEvent(pending_);
     pending_ = sim::kInvalidEventId;
     first_timeout_at_ = 0;
     resend_ = nullptr;
@@ -166,7 +157,6 @@ RetxTimer::finish(bool record)
 void
 RetxTimer::schedule()
 {
-    pending_domain_ = sim_->hereDomain();
     pending_ = sim_->after(cur_timeout_, [this] { fire(); });
 }
 

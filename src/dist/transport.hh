@@ -14,7 +14,6 @@
 #define ISW_DIST_TRANSPORT_HH
 
 #include <array>
-#include <atomic>
 #include <deque>
 #include <functional>
 #include <span>
@@ -158,29 +157,24 @@ struct RetransmitPolicy
 };
 
 /**
- * Deterministic recovery counters, exported via RunResult::extras.
- *
- * Atomics: one RecoveryStats is shared by every RetxTimer of a job,
- * and under a sharded engine timers fire concurrently in different
- * domains within one window. Every update is a commutative accumulate
- * (sum / max / histogram bump) tied to a deterministic simulated
- * event, so the final totals are identical for any thread count.
+ * Deterministic recovery counters, exported via RunResult::extras. One
+ * RecoveryStats is shared by every RetxTimer of a job.
  */
 struct RecoveryStats
 {
-    std::atomic<std::uint64_t> timeouts{0};    ///< timer firings that found work
-    std::atomic<std::uint64_t> retransmits{0}; ///< data segments re-sent
-    std::atomic<std::uint64_t> help_requests{0}; ///< iSwitch Help messages sent
-    std::atomic<std::uint64_t> fbcasts{0};     ///< FBcast nudges sent
-    std::atomic<std::uint64_t> recoveries{0};  ///< guarded ops completed after >=1 timeout
-    std::atomic<std::uint64_t> gave_up{0};     ///< retry cap exhausted
-    std::atomic<sim::TimeNs> latency_total{0}; ///< sum of recovery latencies
-    std::atomic<sim::TimeNs> latency_max{0};
+    std::uint64_t timeouts = 0;      ///< timer firings that found work
+    std::uint64_t retransmits = 0;   ///< data segments re-sent
+    std::uint64_t help_requests = 0; ///< iSwitch Help messages sent
+    std::uint64_t fbcasts = 0;       ///< FBcast nudges sent
+    std::uint64_t recoveries = 0;    ///< guarded ops completed after >=1 timeout
+    std::uint64_t gave_up = 0;       ///< retry cap exhausted
+    sim::TimeNs latency_total = 0;   ///< sum of recovery latencies
+    sim::TimeNs latency_max = 0;
     /**
      * Recovery latency histogram (first timeout -> completion):
      * {<1ms, <4ms, <16ms, <64ms, <256ms, >=256ms}.
      */
-    std::array<std::atomic<std::uint64_t>, 6> latency_hist{};
+    std::array<std::uint64_t, 6> latency_hist{};
 
     /** Record one recovery that took @p latency beyond first timeout. */
     void recordRecovery(sim::TimeNs latency);
@@ -201,14 +195,6 @@ struct RecoveryStats
  * strategies can arm/done unconditionally without scheduling a single
  * event when recovery is off. Not movable: the pending event captures
  * `this` (store RetxTimers in a std::deque or node-based container).
- *
- * Domain safety (sharded engines): the pending event lives in the
- * queue of whatever domain called arm(), and the timer records that
- * domain so teardown from the owning thread cancels the right queue
- * (Simulation::cancelEventIn). All other operations — arm/done/
- * cancel/fire — must run in that same home domain; strategies whose
- * completion signal arrives in another domain defer the done() there
- * (JobBase::deferDone) instead of calling it in place.
  */
 class RetxTimer
 {
@@ -246,9 +232,6 @@ class RetxTimer
     RecoveryStats *stats_ = nullptr;
     ResendFn resend_;
     sim::EventId pending_ = sim::kInvalidEventId;
-    /** Domain whose queue holds pending_ (recorded at schedule time so
-     *  teardown cancels the owning queue, not the caller's). */
-    sim::DomainId pending_domain_ = 0;
     sim::TimeNs cur_timeout_ = 0;
     sim::TimeNs first_timeout_at_ = 0;
     std::uint32_t retries_ = 0;

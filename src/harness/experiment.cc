@@ -122,11 +122,6 @@ timingSpec(rl::Algo algo, dist::StrategyKind k, std::size_t workers,
         if (fabric.racks_per_pod > 0)
             spec.name += "-p" + std::to_string(fabric.racks_per_pod);
     }
-    if (fabric.shard) {
-        spec.config.shard = true;
-        spec.config.shard_threads = fabric.shard_threads;
-        spec.name += "/sharded";
-    }
     return spec;
 }
 

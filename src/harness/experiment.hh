@@ -74,16 +74,12 @@ struct FabricSpec
     bool fat_tree = false;         ///< three-layer ToR + AGG + core
     std::size_t per_rack = 0;      ///< workers per rack
     std::size_t racks_per_pod = 0; ///< ToRs per AGG (fat-tree)
-    bool shard = false;            ///< run on the sharded engine
-    unsigned shard_threads = 0;    ///< 0 = one per core
 };
 
 /**
  * timingSpec over an explicit fabric. Star/tree shapes with default
  * sizing produce exactly the legacy spec names ("…"/"…/tree");
- * fat-trees append "/fat[-rR][-pP]", and sharded runs append
- * "/sharded" (their reports are byte-identical to the serial spec of
- * the same shape — the suffix only keeps report files apart).
+ * fat-trees append "/fat[-rR][-pP]".
  */
 ExperimentSpec timingSpec(rl::Algo algo, dist::StrategyKind k,
                           std::size_t workers, const FabricSpec &fabric);

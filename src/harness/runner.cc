@@ -125,8 +125,6 @@ SpecKey::of(const dist::JobConfig &cfg)
 
     kb.u(cfg.use_tree ? 1 : 0);
     kb.u(cfg.use_fat_tree ? 1 : 0);
-    kb.u(cfg.shard ? 1 : 0);
-    kb.u(cfg.shard_threads);
     kb.u(cfg.seed);
     kb.u(cfg.staleness_bound);
     kb.u(cfg.ps_shards);
@@ -482,8 +480,6 @@ configToJson(const dist::JobConfig &cfg)
     // stay byte-identical.
     if (cfg.use_fat_tree)
         v["use_fat_tree"] = true;
-    if (cfg.shard)
-        v["shard"] = true;
     v["seed"] = cfg.seed;
     v["staleness_bound"] =
         static_cast<std::uint64_t>(cfg.staleness_bound);

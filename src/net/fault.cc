@@ -93,9 +93,8 @@ FaultInjector::stats() const
     FaultStats total;
     for (const auto &kv : ports_)
         total += kv.second.stats; // integer sums: order irrelevant
-    total.switch_drops = switch_drops_.load(std::memory_order_relaxed);
-    total.partition_drops =
-        partition_drops_.load(std::memory_order_relaxed);
+    total.switch_drops = switch_drops_;
+    total.partition_drops = partition_drops_;
     return total;
 }
 
@@ -103,19 +102,17 @@ ChannelVerdict
 FaultInjector::onFrame(const Link &link, const PacketPtr &pkt)
 {
     ChannelVerdict v;
-    // Switch-crash/partition checks come first and are stateless: a
-    // switch link transmits from both endpoints' domains, so only
-    // plan-timestamp predicates plus atomic counters are domain-safe
-    // here (the per-port state below is single-writer by contract).
+    // Switch-crash/partition checks come first and are stateless
+    // plan-timestamp predicates.
     if (!switch_links_.empty() && switch_links_.count(&link) != 0) {
         const sim::TimeNs snow = sim_.now();
         if (switchDown(snow)) {
-            switch_drops_.fetch_add(1, std::memory_order_relaxed);
+            ++switch_drops_;
             v.drop = true;
             return v;
         }
         if (pkt->ip.tos == kTosControl && controlPartitioned(snow)) {
-            partition_drops_.fetch_add(1, std::memory_order_relaxed);
+            ++partition_drops_;
             v.drop = true;
             return v;
         }

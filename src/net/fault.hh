@@ -23,7 +23,6 @@
 #ifndef ISW_NET_FAULT_HH
 #define ISW_NET_FAULT_HH
 
-#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <unordered_map>
@@ -215,19 +214,15 @@ class FaultInjector : public ChannelModel
     double computeScale(std::size_t worker, sim::TimeNs now) const;
 
     const FaultPlan &plan() const { return plan_; }
-    /** Aggregate counters across all attached links. Summed on demand:
-     *  the live counters are per-port so a sharded engine's domains
-     *  never write a shared cache line (each edge link's frames are
-     *  processed entirely within the link's home domain). The sum of
-     *  per-port totals is order-independent, hence deterministic. */
+    /** Aggregate counters across all attached links (the live
+     *  counters are per-port; summed on demand). */
     FaultStats stats() const;
 
   private:
     /**
      * Per-edge-link state: the GE chain, the RNG, and the fault
-     * counters. A link's frames all execute in the link's home domain
-     * (one rack = one domain), so everything here is single-writer —
-     * no atomics needed even when domains run on parallel threads.
+     * counters. One RNG stream per link keeps each link's loss draws
+     * independent of traffic on every other link.
      */
     struct PortState
     {
@@ -243,14 +238,12 @@ class FaultInjector : public ChannelModel
     /** Read-only after attach() (runtime lookups never mutate). */
     std::unordered_map<const Link *, PortState> ports_;
     /**
-     * The primary switch's links. Unlike edge links, a switch link's
-     * frames execute from *two* domains (each endpoint transmits from
-     * its own), so the crash/partition checks are stateless timestamp
-     * predicates and the counters are atomics — never PortState.
+     * The primary switch's links. Their crash/partition checks are
+     * stateless timestamp predicates, so they need no PortState.
      */
     std::unordered_set<const Link *> switch_links_;
-    std::atomic<std::uint64_t> switch_drops_{0};
-    std::atomic<std::uint64_t> partition_drops_{0};
+    std::uint64_t switch_drops_ = 0;
+    std::uint64_t partition_drops_ = 0;
 };
 
 } // namespace isw::net

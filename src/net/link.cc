@@ -62,12 +62,12 @@ Link::transmit(Node *from, PacketPtr pkt)
     const sim::TimeNs start = std::max(now, tx.busy_until);
     const sim::TimeNs done = start + txTime(pkt->wireBytes());
     tx.busy_until = done;
-    bytes_.fetch_add(pkt->wireBytes(), std::memory_order_relaxed);
+    bytes_ += pkt->wireBytes();
     if (tap_)
         tap_(LinkEvent::kTx, pkt);
 
     if (cfg_.loss_prob > 0.0 && loss_rng_.bernoulli(cfg_.loss_prob)) {
-        dropped_.fetch_add(1, std::memory_order_relaxed);
+        ++dropped_;
         if (tap_)
             tap_(LinkEvent::kDrop, pkt);
         return; // the pipe time is still consumed: the frame was sent
@@ -77,7 +77,7 @@ Link::transmit(Node *from, PacketPtr pkt)
     if (channel_ != nullptr) {
         const ChannelVerdict v = channel_->onFrame(*this, pkt);
         if (v.drop) {
-            dropped_.fetch_add(1, std::memory_order_relaxed);
+            ++dropped_;
             if (tap_)
                 tap_(LinkEvent::kDrop, pkt);
             return;
@@ -95,18 +95,12 @@ Link::deliverAt(sim::TimeNs when, const End &rx, const PacketPtr &pkt)
 {
     Node *dst_node = rx.node;
     const std::size_t dst_port = rx.port;
-    // The delivery event belongs to the *receiver's* shard domain:
-    // this is the single point where causality crosses a domain
-    // boundary, and the propagation delay baked into `when` is what
-    // funds the engine's lookahead. atInDomain degenerates to a plain
-    // schedule on un-sharded simulations.
-    sim_.atInDomain(dst_node->domain(), when,
-                    [this, dst_node, dst_port, pkt] {
-                        delivered_.fetch_add(1, std::memory_order_relaxed);
-                        if (tap_)
-                            tap_(LinkEvent::kDeliver, pkt);
-                        dst_node->deliver(pkt, dst_port);
-                    });
+    sim_.at(when, [this, dst_node, dst_port, pkt] {
+        ++delivered_;
+        if (tap_)
+            tap_(LinkEvent::kDeliver, pkt);
+        dst_node->deliver(pkt, dst_port);
+    });
 }
 
 } // namespace isw::net

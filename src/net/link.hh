@@ -8,7 +8,6 @@
 #define ISW_NET_LINK_HH
 
 #include <array>
-#include <atomic>
 #include <functional>
 #include <string>
 
@@ -103,20 +102,11 @@ class Link
     Node *peerOf(const Node *n) const;
 
     /** Total frames dropped by loss injection (both directions). */
-    std::uint64_t dropped() const
-    {
-        return dropped_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t dropped() const { return dropped_; }
     /** Total frames delivered (both directions). */
-    std::uint64_t delivered() const
-    {
-        return delivered_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t delivered() const { return delivered_; }
     /** Total payload+header bytes carried (both directions). */
-    std::uint64_t bytesCarried() const
-    {
-        return bytes_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t bytesCarried() const { return bytes_; }
 
   private:
     struct End
@@ -136,12 +126,9 @@ class Link
     sim::Rng loss_rng_;
     ChannelModel *channel_ = nullptr;
     std::function<void(LinkEvent, const PacketPtr &)> tap_;
-    // On a sharded simulation a boundary link's two directions run on
-    // different domain threads; the shared counters stay exact under
-    // relaxed atomics (pure tallies, no ordering needed).
-    std::atomic<std::uint64_t> dropped_{0};
-    std::atomic<std::uint64_t> delivered_{0};
-    std::atomic<std::uint64_t> bytes_{0};
+    std::uint64_t dropped_ = 0;
+    std::uint64_t delivered_ = 0;
+    std::uint64_t bytes_ = 0;
 };
 
 } // namespace isw::net

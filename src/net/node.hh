@@ -34,14 +34,6 @@ class Node
     std::size_t numPorts() const { return ports_.size(); }
     sim::Simulation &simulation() { return sim_; }
 
-    /**
-     * Shard domain this device executes in (sim/shard.hh). Assigned by
-     * the cluster builder before the run starts; 0 (the default) is
-     * the core/control domain. Ignored on un-sharded simulations.
-     */
-    sim::DomainId domain() const { return domain_; }
-    void setDomain(sim::DomainId d) { domain_ = d; }
-
     /** Attach @p link to @p port (called by Link::connect). */
     void attachLink(std::size_t port, Link *link);
 
@@ -60,7 +52,6 @@ class Node
   private:
     std::string name_;
     std::vector<Link *> ports_;
-    sim::DomainId domain_ = 0;
 };
 
 } // namespace isw::net

@@ -72,7 +72,7 @@ struct UdpHeader
 constexpr std::uint8_t kTosControl = 0xC0;
 constexpr std::uint8_t kTosData = 0xC4;
 constexpr std::uint8_t kTosResult = 0xC8;
-/** HA replication frames (primary -> backup switch, DESIGN.md §16). */
+/** HA replication frames (primary -> backup switch, DESIGN.md §15). */
 constexpr std::uint8_t kTosRepl = 0xCC;
 
 /** iSwitch control actions (paper Table 2, plus the slot-pool Nack
@@ -88,7 +88,7 @@ enum class Action : std::uint8_t {
     kHalt,
     kAck,
     kNack,
-    kHeartbeat, ///< primary -> backup liveness beat (HA, DESIGN.md §16)
+    kHeartbeat, ///< primary -> backup liveness beat (HA, DESIGN.md §15)
     kFailover,  ///< backup -> members: re-home to me, the primary died
 };
 

@@ -82,23 +82,11 @@ struct PacketRecycler
     }
 };
 
-namespace {
-
-thread_local PacketPool *tls_pool_override = nullptr;
-
-} // namespace
-
 PacketPool &
 PacketPool::local()
 {
     thread_local PacketPool pool;
-    return tls_pool_override != nullptr ? *tls_pool_override : pool;
-}
-
-void
-PacketPool::setLocalOverride(PacketPool *pool)
-{
-    tls_pool_override = pool;
+    return pool;
 }
 
 PacketPool::~PacketPool()

@@ -50,18 +50,8 @@ class PacketPool
         std::uint64_t float_reuses = 0;  ///< acquireFloats() hits
     };
 
-    /** The calling thread's pool (the override when one is set). */
+    /** The calling thread's pool. */
     static PacketPool &local();
-
-    /**
-     * Redirect this thread's local() to @p pool (nullptr restores the
-     * default thread-local pool). The sharded engine's domain hooks
-     * use this so every domain owns a private pool: packets sealed
-     * and recycled inside a domain's window — including packets that
-     * crossed domains and die on the receiver's thread — touch only
-     * that domain's free lists, keeping the pool single-threaded.
-     */
-    static void setLocalOverride(PacketPool *pool);
 
     PacketPool() = default;
     PacketPool(const PacketPool &) = delete;

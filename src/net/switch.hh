@@ -72,11 +72,8 @@ class EthSwitch : public Node
     std::optional<std::size_t> default_port_;
     std::uint64_t forwarded_ = 0;
     std::uint64_t no_route_ = 0;
-    /**
-     * Registry counter resolved at construction: the registry's map
-     * must not be mutated from domain threads mid-run (sim/shard.hh),
-     * and the name concatenation is off the hot path this way too.
-     */
+    /** Registry counter resolved at construction: the name
+     *  concatenation stays off the hot path. */
     sim::Counter &no_route_counter_;
 };
 

@@ -199,25 +199,4 @@ EventQueue::nextTime()
     return top == nullptr ? kNoEvent : top->when;
 }
 
-std::size_t
-EventQueue::runWindow(TimeNs end_exclusive)
-{
-    std::size_t n = 0;
-    for (;;) {
-        bool from_tail;
-        const Entry *top = peekLive(&from_tail);
-        if (top == nullptr || top->when >= end_exclusive)
-            break;
-        const Entry e = extract(from_tail);
-        Callback cb = std::move(slots_[e.key & kSlotMask].cb);
-        retireSlot(e.key);
-        --pending_;
-        ++executed_;
-        now_ = e.when;
-        cb();
-        ++n;
-    }
-    return n;
-}
-
 } // namespace isw::sim

@@ -129,17 +129,6 @@ class EventQueue
      */
     std::size_t runAll(std::size_t max_events = SIZE_MAX);
 
-    /**
-     * Run events strictly before @p end_exclusive. Unlike runUntil(),
-     * the clock never force-advances to the window edge: now() is left
-     * at the last executed event, so a later window (or an event merged
-     * in from another domain at >= end_exclusive) observes exactly the
-     * serial-queue clock semantics. This is the conservative-window
-     * primitive of the domain-sharded engine (sim/shard.hh).
-     * @return number of events executed.
-     */
-    std::size_t runWindow(TimeNs end_exclusive);
-
   private:
     /** Slot index bits inside a packed key (max 16M pending events). */
     static constexpr std::uint64_t kSlotBits = 24;

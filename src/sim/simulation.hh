@@ -4,23 +4,19 @@
  *
  * Every simulated entity (link, switch, worker, ...) holds a reference
  * to one Simulation and interacts with the world exclusively through
- * it, which keeps runs deterministic. A Simulation is single-threaded
- * by default; shard() swaps the serial queue for a domain-sharded
- * conservative-parallel engine (sim/shard.hh) while keeping the same
- * scheduling API.
+ * it, which keeps runs deterministic. A Simulation is single-threaded:
+ * one serial event queue executes every event in (time, insertion)
+ * order. Independent Simulations may run on different threads.
  */
 
 #ifndef ISW_SIM_SIMULATION_HH
 #define ISW_SIM_SIMULATION_HH
 
 #include <cstdint>
-#include <memory>
-#include <stdexcept>
 
 #include "sim/event_queue.hh"
 #include "sim/log.hh"
 #include "sim/random.hh"
-#include "sim/shard.hh"
 #include "sim/stats.hh"
 #include "sim/time.hh"
 
@@ -41,16 +37,8 @@ class Simulation
     Simulation(const Simulation &) = delete;
     Simulation &operator=(const Simulation &) = delete;
 
-    TimeNs now() const
-    {
-        return engine_ ? engine_->now() : events_.now();
-    }
+    TimeNs now() const { return events_.now(); }
 
-    /**
-     * The serial event queue. Valid only while un-sharded; sharded
-     * simulations must go through at()/after()/cancelEvent() and the
-     * aggregate counters below.
-     */
     EventQueue &events() { return events_; }
     StatsRegistry &stats() { return stats_; }
     Logger &logger() { return logger_; }
@@ -61,126 +49,44 @@ class Simulation
     /** Hand out the next independent RNG substream. */
     Rng forkRng() { return root_rng_.fork(next_stream_++); }
 
-    /**
-     * Swap the serial queue for a domain-sharded parallel engine.
-     * Must be called before any event is scheduled (typically right
-     * after topology construction, which schedules nothing). Entities
-     * are assigned to domains via net::Node::setDomain(); events
-     * scheduled outside any domain context land in domain 0.
-     */
-    void shard(const ShardPlan &plan)
-    {
-        if (engine_)
-            throw std::logic_error("Simulation: already sharded");
-        if (!events_.empty() || events_.executed() != 0)
-            throw std::logic_error(
-                "Simulation: shard() before scheduling events");
-        engine_ = std::make_unique<ShardedEngine>(plan);
-    }
-
-    /** Non-null once shard() was called. */
-    ShardedEngine *engine() { return engine_.get(); }
-    bool sharded() const { return engine_ != nullptr; }
-
     /** Convenience: schedule relative to now. */
     EventId after(TimeNs delay, EventQueue::Callback cb)
     {
-        if (engine_)
-            return engine_->schedule(engine_->hereOr0(),
-                                     engine_->now() + delay, std::move(cb));
         return events_.scheduleAfter(delay, std::move(cb));
     }
 
     /** Convenience: schedule at absolute time. */
     EventId at(TimeNs when, EventQueue::Callback cb)
     {
-        if (engine_)
-            return engine_->schedule(engine_->hereOr0(), when,
-                                     std::move(cb));
         return events_.schedule(when, std::move(cb));
     }
 
-    /**
-     * Schedule at absolute time into a specific shard domain. On an
-     * un-sharded Simulation the domain is ignored (one queue).
-     */
-    EventId atInDomain(DomainId d, TimeNs when, EventQueue::Callback cb)
-    {
-        if (engine_)
-            return engine_->schedule(d, when, std::move(cb));
-        return events_.schedule(when, std::move(cb));
-    }
-
-    /**
-     * Cancel an event by handle. Sharded: only valid from the domain
-     * that scheduled it (handles are queue-local, so a foreign handle
-     * silently hits an unrelated event); kInvalidEventId is always a
-     * harmless no-op. Callers that may cancel from another domain —
-     * RetxTimer teardown, deferred acks — must record the scheduling
-     * domain (hereDomain() at schedule time) and use cancelEventIn().
-     */
-    bool cancelEvent(EventId id)
-    {
-        if (engine_)
-            return engine_->cancelHere(id);
-        return events_.cancel(id);
-    }
-
-    /**
-     * Cancel an event known to have been scheduled in domain @p d.
-     * Safe between windows and from inside domain d; a cross-domain
-     * cancel mid-window throws std::logic_error instead of silently
-     * corrupting another queue. Un-sharded: plain cancel.
-     */
-    bool cancelEventIn(DomainId d, EventId id)
-    {
-        if (engine_)
-            return engine_->cancelIn(d, id);
-        return events_.cancel(id);
-    }
-
-    /** Domain events scheduled by this thread land in: the executing
-     *  domain during a sharded window, 0 otherwise. */
-    DomainId hereDomain() const
-    {
-        return engine_ ? engine_->hereOr0() : 0;
-    }
+    /** Cancel an event by handle (kInvalidEventId is a no-op). */
+    bool cancelEvent(EventId id) { return events_.cancel(id); }
 
     /** Run everything (bounded by @p max_events as a runaway guard). */
     std::size_t run(std::size_t max_events = SIZE_MAX)
     {
-        return engine_ ? engine_->runAll(max_events)
-                       : events_.runAll(max_events);
+        return events_.runAll(max_events);
     }
 
     /** Run until simulated @p deadline. */
     std::size_t runUntil(TimeNs deadline)
     {
-        return engine_ ? engine_->runUntil(deadline)
-                       : events_.runUntil(deadline);
+        return events_.runUntil(deadline);
     }
 
-    /** Events executed so far (aggregated across domains). */
-    std::uint64_t eventsExecuted() const
-    {
-        return engine_ ? engine_->executed() : events_.executed();
-    }
+    /** Events executed so far. */
+    std::uint64_t eventsExecuted() const { return events_.executed(); }
 
-    /** Pending events (aggregated across domains + mailboxes). */
-    std::size_t pendingEvents() const
-    {
-        return engine_ ? engine_->pending() : events_.pending();
-    }
+    /** Events still pending. */
+    std::size_t pendingEvents() const { return events_.pending(); }
 
-    /** True when no runnable events remain anywhere. */
-    bool queueEmpty() const
-    {
-        return engine_ ? engine_->empty() : events_.empty();
-    }
+    /** True when no runnable events remain. */
+    bool queueEmpty() const { return events_.empty(); }
 
   private:
     EventQueue events_;
-    std::unique_ptr<ShardedEngine> engine_;
     StatsRegistry stats_;
     Logger logger_;
     Rng root_rng_;

@@ -1,4 +1,4 @@
-/** @file HeartbeatMonitor state machine (DESIGN.md §16): alive while
+/** @file HeartbeatMonitor state machine (DESIGN.md §15): alive while
  *  beats arrive, suspect at two misses, dead at the configured
  *  threshold; late beats clear suspicion and misses are never
  *  double-booked across repeated checks. */

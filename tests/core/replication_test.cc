@@ -1,4 +1,4 @@
-/** @file Primary->backup replication engine (DESIGN.md §16): frame
+/** @file Primary->backup replication engine (DESIGN.md §15): frame
  *  word packing, per-harvest vs batched-lazy state streaming, the
  *  appended contributor set, and the always-immediate result path. */
 

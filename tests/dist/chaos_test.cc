@@ -258,7 +258,7 @@ TEST(Churn, AnnouncedCrashDrivesLeaveJoinAndAutoH)
 }
 
 // ---------------------------------------------------------------------
-// High-availability failover (DESIGN.md §16): a backup switch shadows
+// High-availability failover (DESIGN.md §15): a backup switch shadows
 // the primary's aggregation state; when the primary crashes mid-round,
 // heartbeat misses promote the backup, workers re-home, and the round
 // finishes from the replicated partials + retransmissions.

@@ -129,13 +129,12 @@ TEST(TreeCluster, UnevenLastRackThresholdsAndDomains)
     for (std::size_t r = 0; r < 3; ++r) {
         EXPECT_EQ(c.leaves[r]->controlPlane().table().size(), expect[r]);
         EXPECT_EQ(c.leaves[r]->accelerator().threshold(), expect[r]);
-        EXPECT_EQ(c.leaves[r]->domain(), r + 1);
     }
     EXPECT_EQ(c.root->accelerator().threshold(), 3u); // 3 ToRs
-    EXPECT_EQ(c.sim_domains, 4u); // 3 racks + fabric domain 0
-    EXPECT_EQ(c.domain_lookahead, cfg.uplink.propagation);
+    // Worker i sits in rack i / 3: its only link leads to that ToR.
     for (std::size_t i = 0; i < 7; ++i)
-        EXPECT_EQ(c.workers[i]->domain(), i / 3 + 1);
+        EXPECT_EQ(c.workers[i]->link(0)->peerOf(c.workers[i]),
+                  c.leaves[i / 3]);
 }
 
 TEST(FatTreeCluster, LayoutThresholdsAndDomains)
@@ -154,19 +153,17 @@ TEST(FatTreeCluster, LayoutThresholdsAndDomains)
     for (std::size_t r = 0; r < 4; ++r) {
         EXPECT_EQ(c.leaves[r]->controlPlane().table().size(), 2u);
         EXPECT_EQ(c.leaves[r]->accelerator().threshold(), 2u);
-        EXPECT_EQ(c.leaves[r]->domain(), r + 1);
         EXPECT_EQ(c.leafOf(2 * r), c.leaves[r]);
+        EXPECT_EQ(c.workers[2 * r]->link(0)->peerOf(c.workers[2 * r]),
+                  c.leaves[r]);
     }
     for (auto *agg : c.aggs) {
         EXPECT_FALSE(agg->isRoot());
         EXPECT_EQ(agg->controlPlane().table().size(), 2u); // 2 ToRs
         EXPECT_EQ(agg->accelerator().threshold(), 2u);
-        EXPECT_EQ(agg->domain(), 0u); // fabric domain
     }
     EXPECT_EQ(c.root->controlPlane().table().size(), 2u); // 2 AGGs
     EXPECT_EQ(c.root->accelerator().threshold(), 2u);
-    EXPECT_EQ(c.sim_domains, 5u); // 4 racks + fabric
-    EXPECT_EQ(c.domain_lookahead, cfg.uplink.propagation);
 }
 
 TEST(FatTreeCluster, UnevenLastRackTracksOccupancy)
@@ -217,7 +214,7 @@ TEST(FatTreeCluster, PsAttachesToRackZero)
     cfg.with_ps = true;
     Cluster c = buildFatTreeCluster(s, cfg);
     ASSERT_NE(c.ps, nullptr);
-    EXPECT_EQ(c.ps->domain(), 1u); // rack 0's shard domain
+    EXPECT_EQ(c.ps->link(0)->peerOf(c.ps), c.leaves[0]); // rack 0's ToR
     EXPECT_TRUE(c.root->routeFor(c.ps->ip()).has_value());
     // The PS is reachable but not an aggregation member.
     EXPECT_EQ(c.leaves[0]->controlPlane().table().size(), 2u);

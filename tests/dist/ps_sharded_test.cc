@@ -95,17 +95,17 @@ TEST(ShardedPs, SingleShardBehavesLikePlainPsTiming)
 TEST(ShardedPs, TreeTopologyPlacesShardsAcrossRacks)
 {
     // Multi-rack fabrics used to reject K > 1; shards now land
-    // round-robin over racks (shard k in rack k % racks), each in its
-    // rack's shard domain.
+    // round-robin over racks (shard k in rack k % racks).
     JobConfig cfg = shardedConfig(3, 1);
     cfg.use_tree = true;
     cfg.cluster.per_rack = 3; // 2 racks
     auto job = makeJob(cfg);
     const Cluster &c = job->cluster();
     ASSERT_EQ(c.ps_shards.size(), 3u);
-    EXPECT_EQ(c.ps_shards[0]->domain(), 1u);
-    EXPECT_EQ(c.ps_shards[1]->domain(), 2u);
-    EXPECT_EQ(c.ps_shards[2]->domain(), 1u); // wraps
+    const auto torOf = [](net::Host *h) { return h->link(0)->peerOf(h); };
+    EXPECT_EQ(torOf(c.ps_shards[0]), c.leaves[0]);
+    EXPECT_EQ(torOf(c.ps_shards[1]), c.leaves[1]);
+    EXPECT_EQ(torOf(c.ps_shards[2]), c.leaves[0]); // wraps
 }
 
 } // namespace
