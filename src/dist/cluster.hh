@@ -55,7 +55,10 @@ struct ClusterConfig
 {
     std::size_t num_workers = 4;
     bool with_ps = false;              ///< add a parameter-server host
-    /** Parameter-server shard count (>1 = sharded PS, star only). */
+    /** Parameter-server shard count (>1 = sharded PS; tree and
+     *  fat-tree builders spread shards over racks). Jobs set it from
+     *  JobConfig::ps_shards and reject a JobConfig::cluster whose
+     *  field is not 1. */
     std::size_t ps_shards = 1;
     net::LinkConfig edge_link{};       ///< host <-> switch (10 GbE)
     net::LinkConfig uplink{40e9, 200, 0.0}; ///< ToR <-> parent (tree/fat)

@@ -41,7 +41,6 @@ runSharedJobs(const MultiJobConfig &cfg)
     sim::Simulation sim(cfg.seed);
     ClusterConfig fabric_cfg = cfg.fabric;
     fabric_cfg.with_ps = false;
-    fabric_cfg.ps_shards = 1;
     fabric_cfg.num_workers = 0;
     fabric_cfg.worker_jobs.clear();
     for (std::size_t i = 0; i < k; ++i) {

@@ -1,21 +1,25 @@
 #include "dist/ps_sync.hh"
 
+#include <algorithm>
+#include <stdexcept>
+
 namespace isw::dist {
 
 namespace {
 /**
- * Transfer ids stamp the round so a straggling retransmission from
- * round r can never pollute round r+1's assembler: gradients use
- * (round << kRoundShift) | worker, results set kResultFlag on top.
+ * Transfer ids stamp the round so late retransmissions from round r
+ * cannot pollute round r+1: gradients use (round << kRoundShift) |
+ * worker, shard results are (round << kRoundShift) | shard with
+ * kResultFlag set.
  */
 constexpr std::uint64_t kRoundShift = 20;
-constexpr std::uint64_t kWorkerMask = (1ULL << kRoundShift) - 1;
+constexpr std::uint64_t kIdMask = (1ULL << kRoundShift) - 1;
 constexpr std::uint64_t kResultFlag = 1ULL << 63;
 
 constexpr std::uint64_t
-gradTid(std::uint64_t round, std::uint64_t worker)
+makeTid(std::uint64_t round, std::uint64_t id)
 {
-    return (round << kRoundShift) | worker;
+    return (round << kRoundShift) | id;
 }
 
 constexpr std::uint64_t
@@ -25,35 +29,72 @@ tidRound(std::uint64_t tid)
 }
 
 constexpr std::uint64_t
-tidWorker(std::uint64_t tid)
+tidId(std::uint64_t tid)
 {
-    return tid & kWorkerMask;
+    return tid & kIdMask;
 }
 } // namespace
 
 SyncPsJob::SyncPsJob(const JobConfig &cfg) : JobBase(cfg)
 {
-    fmt_ = gradientWire(/*iswitch_plane=*/false);
-    ps_rx_.resize(workers_.size());
-    for (auto &rx : ps_rx_)
-        rx.reset(fmt_);
-    for (auto &w : workers_)
-        w.rx.reset(fmt_);
-    ps_rng_ = sim_->forkRng();
-    srv_ppp_ = makePipeline();
-    grad_retx_.resize(workers_.size());
-    result_retx_.resize(workers_.size());
-    for (std::size_t i = 0; i < workers_.size(); ++i) {
-        configureTimer(grad_retx_[i]);
-        configureTimer(result_retx_[i]);
+    const std::size_t k = cluster_.ps_shards.size();
+    if (k < 1)
+        throw std::logic_error("SyncPsJob: no PS shards built");
+
+    const WireFormat full = gradientWire(/*iswitch_plane=*/false);
+    shards_.resize(k);
+    const std::uint64_t base_wire = (full.wire_bytes / k) & ~3ULL;
+    std::uint64_t wire_used = 0;
+    for (std::size_t s = 0; s < k; ++s) {
+        ShardSpec &sp = shards_[s];
+        sp.log_begin = full.logical_floats * s / k;
+        sp.log_end = full.logical_floats * (s + 1) / k;
+        sp.wire_bytes =
+            s + 1 == k ? full.wire_bytes - wire_used : base_wire;
+        wire_used += sp.wire_bytes;
+        const std::uint64_t need = WireFormat::minWireBytes(
+            full.precision, sp.log_end - sp.log_begin);
+        if (sp.wire_bytes < need)
+            sp.wire_bytes = need;
+        sp.fmt = WireFormat::forVector(sp.log_end - sp.log_begin,
+                                       sp.wire_bytes,
+                                       /*iswitch_plane=*/false,
+                                       full.precision);
     }
+
+    state_.resize(k);
+    for (auto &st : state_) {
+        st.rx.resize(workers_.size());
+        st.ppp = makePipeline();
+    }
+    for (std::size_t s = 0; s < k; ++s)
+        for (auto &rx : state_[s].rx)
+            rx.reset(shards_[s].fmt);
+
+    worker_rx_.resize(workers_.size());
+    agg_.resize(workers_.size());
+    slices_done_.assign(workers_.size(), 0);
+    for (auto &per_shard : worker_rx_) {
+        per_shard.resize(k);
+        for (std::size_t s = 0; s < k; ++s)
+            per_shard[s].reset(shards_[s].fmt);
+    }
+    ps_rng_ = sim_->forkRng();
+    grad_retx_.resize(workers_.size() * k);
+    result_retx_.resize(workers_.size() * k);
+    for (auto &t : grad_retx_)
+        configureTimer(t);
+    for (auto &t : result_retx_)
+        configureTimer(t);
 }
 
 void
 SyncPsJob::start()
 {
-    cluster_.ps->setReceiveHandler(
-        [this](net::PacketPtr pkt) { onPsPacket(pkt); });
+    for (std::size_t s = 0; s < cluster_.ps_shards.size(); ++s) {
+        cluster_.ps_shards[s]->setReceiveHandler(
+            [this, s](net::PacketPtr pkt) { onShardPacket(s, pkt); });
+    }
     for (auto &w : workers_) {
         WorkerCtx *wp = &w;
         w.host->setReceiveHandler(
@@ -63,6 +104,46 @@ SyncPsJob::start()
         beginRound(w);
 }
 
+std::span<const float>
+SyncPsJob::gradSlice(const WorkerCtx &w, std::size_t shard) const
+{
+    const ShardSpec &sp = shards_[shard];
+    return {w.pending_grad.data() + sp.log_begin,
+            sp.log_end - sp.log_begin};
+}
+
+std::size_t
+SyncPsJob::resendGradSegments(WorkerCtx &w, std::size_t shard,
+                              std::uint64_t round,
+                              const std::vector<std::uint64_t> &segs)
+{
+    for (std::uint64_t seg : segs) {
+        sendVectorSegment(*w.host, cluster_.ps_shards[shard]->ip(),
+                          kPsPort, kWorkerPort, /*tos=*/0,
+                          makeTid(round, w.index), gradSlice(w, shard),
+                          shards_[shard].fmt, seg, /*seg_base=*/0,
+                          /*job=*/0, /*ver_quota=*/0, w.ppp.get());
+        ++recovery_.retransmits;
+    }
+    return segs.size();
+}
+
+std::size_t
+SyncPsJob::resendResultSegments(std::size_t shard, WorkerCtx &w,
+                                std::uint64_t tid,
+                                const std::vector<std::uint64_t> &segs)
+{
+    for (std::uint64_t seg : segs) {
+        sendVectorSegment(*cluster_.ps_shards[shard], w.host->ip(),
+                          kWorkerPort, kPsPort, /*tos=*/0, tid,
+                          state_[shard].sum, shards_[shard].fmt, seg,
+                          /*seg_base=*/0, /*job=*/0, /*ver_quota=*/0,
+                          state_[shard].ppp.get());
+        ++recovery_.retransmits;
+    }
+    return segs.size();
+}
+
 void
 SyncPsJob::beginRound(WorkerCtx &w)
 {
@@ -70,170 +151,155 @@ SyncPsJob::beginRound(WorkerCtx &w)
         return;
     WorkerCtx *wp = &w;
     scheduleLgc(w, [this, wp] {
-        sim_->after(cfg_.overhead.send, [this, wp] {
+        // Scatter: one message per shard, each charged a send posting.
+        for (std::size_t s = 0; s < shards_.size(); ++s) {
             const std::uint64_t r = wp->round;
-            sendVector(*wp->host, cluster_.ps->ip(), kPsPort, kWorkerPort,
-                       /*tos=*/0, gradTid(r, wp->index), wp->pending_grad,
-                       fmt_, /*seg_base=*/0, /*job=*/0, /*ver_quota=*/0,
-                       wp->ppp.get());
-            // Guard the uplink transfer: on timeout, re-send whatever
-            // the server's assembler is still missing (the ack channel
-            // is modeled as free; data resends pay full wire cost).
-            grad_retx_[wp->index].arm([this, wp, r]() -> std::size_t {
-                if (stopped())
-                    return 0;
-                if (!partitionedFabric()) {
-                    if (srv_round_ != r)
-                        return 0;
-                    std::size_t n = 0;
-                    for (std::uint64_t seg :
-                         ps_rx_[wp->index].missingSegments()) {
-                        sendVectorSegment(*wp->host, cluster_.ps->ip(),
-                                          kPsPort, kWorkerPort, /*tos=*/0,
-                                          gradTid(r, wp->index),
-                                          wp->pending_grad, fmt_, seg,
-                                          /*seg_base=*/0, /*job=*/0,
-                                          /*ver_quota=*/0, wp->ppp.get());
-                        ++recovery_.retransmits;
-                        ++n;
-                    }
-                    return n;
-                }
-                // Partitioned fabric: the timer probes the server's
-                // assembler one rack hop later and resends after
-                // another hop. The timer stays armed (return 1) until
-                // the server's completion defers a done().
-                afterRackHop([this, wp, r] {
-                    if (stopped() || srv_round_ != r)
-                        return;
-                    std::vector<std::uint64_t> missing =
-                        ps_rx_[wp->index].missingSegments();
-                    if (missing.empty())
-                        return;
-                    afterRackHop([this, wp, r,
-                                  missing = std::move(missing)] {
-                        if (stopped() || wp->round != r)
-                            return;
-                        for (std::uint64_t seg : missing) {
-                            sendVectorSegment(
-                                *wp->host, cluster_.ps->ip(), kPsPort,
-                                kWorkerPort, /*tos=*/0,
-                                gradTid(r, wp->index), wp->pending_grad,
-                                fmt_, seg, /*seg_base=*/0, /*job=*/0,
-                                /*ver_quota=*/0, wp->ppp.get());
-                            ++recovery_.retransmits;
+            sim_->after(cfg_.overhead.send * (s + 1), [this, wp, s, r] {
+                sendVector(*wp->host, cluster_.ps_shards[s]->ip(),
+                           kPsPort, kWorkerPort, /*tos=*/0,
+                           makeTid(r, wp->index), gradSlice(*wp, s),
+                           shards_[s].fmt, /*seg_base=*/0, /*job=*/0,
+                           /*ver_quota=*/0, wp->ppp.get());
+                // Guard this slice: on timeout, re-send whatever the
+                // shard's assembler is still missing (the ack channel
+                // is modeled as free; data resends pay full wire cost).
+                grad_retx_[wp->index * shards_.size() + s].arm(
+                    [this, wp, s, r]() -> std::size_t {
+                        if (stopped())
+                            return 0;
+                        if (!partitionedFabric()) {
+                            if (state_[s].round != r)
+                                return 0;
+                            return resendGradSegments(
+                                *wp, s, r,
+                                state_[s].rx[wp->index].missingSegments());
                         }
+                        // Partitioned fabric: probe the shard's
+                        // assembler one rack hop later, resend after
+                        // another hop. The timer stays armed (return 1)
+                        // until the shard's completion defers a done().
+                        afterRackHop([this, wp, s, r] {
+                            if (stopped() || state_[s].round != r)
+                                return;
+                            std::vector<std::uint64_t> missing =
+                                state_[s].rx[wp->index].missingSegments();
+                            if (missing.empty())
+                                return;
+                            afterRackHop([this, wp, s, r,
+                                          missing = std::move(missing)] {
+                                if (stopped() || wp->round != r)
+                                    return;
+                                resendGradSegments(*wp, s, r, missing);
+                            });
+                        });
+                        return 1;
                     });
-                });
-                return 1;
             });
-        });
+        }
     });
 }
 
 void
-SyncPsJob::onPsPacket(const net::PacketPtr &pkt)
+SyncPsJob::onShardPacket(std::size_t shard, const net::PacketPtr &pkt)
 {
     const auto *chunk = std::get_if<net::ChunkPayload>(&pkt->payload);
     if (chunk == nullptr || (chunk->transfer_id & kResultFlag) != 0)
         return;
-    const std::uint64_t widx = tidWorker(chunk->transfer_id);
-    if (widx >= ps_rx_.size() || tidRound(chunk->transfer_id) != srv_round_)
+    ShardState &st = state_[shard];
+    const std::uint64_t widx = tidId(chunk->transfer_id);
+    if (widx >= workers_.size() ||
+        tidRound(chunk->transfer_id) != st.round)
         return; // stale round (late retransmission): drop
-    if (ps_rx_[widx].offer(*chunk)) {
-        deferDone(grad_retx_[widx]);
-        if (++ps_received_ == workers_.size())
-            serverAggregate();
+    if (st.rx[widx].offer(*chunk)) {
+        deferDone(grad_retx_[widx * shards_.size() + shard]);
+        if (++st.received == workers_.size())
+            shardAggregate(shard);
     }
 }
 
 void
-SyncPsJob::serverAggregate()
+SyncPsJob::shardAggregate(std::size_t shard)
 {
-    // Conventional aggregation (Figure 8a): all vectors are resident
+    // Conventional aggregation (Figure 8a): all slices are resident
     // before the summation starts.
-    ps_sum_.assign(fmt_.logical_floats, 0.0f);
-    for (const auto &rx : ps_rx_) {
+    ShardState &st = state_[shard];
+    const ShardSpec &sp = shards_[shard];
+    st.sum.assign(sp.fmt.logical_floats, 0.0f);
+    for (const auto &rx : st.rx) {
         const auto &v = rx.vector();
-        for (std::size_t i = 0; i < ps_sum_.size(); ++i)
-            ps_sum_[i] += v[i];
+        for (std::size_t i = 0; i < st.sum.size(); ++i)
+            st.sum[i] += v[i];
     }
-    const double sum_bytes = static_cast<double>(fmt_.wire_bytes) *
+    const double sum_bytes = static_cast<double>(sp.wire_bytes) *
                              static_cast<double>(workers_.size());
     const auto sum_time = static_cast<sim::TimeNs>(
         sum_bytes / cfg_.ps_sum_bytes_per_sec * 1e9);
-    last_server_wu_ =
-        cfg_.profile.sample(IterComponent::kWeightUpdate, ps_rng_);
+    // Every shard performs its slice of the weight update; slices run
+    // in parallel so the visible update cost is one shard's share.
+    const sim::TimeNs wu_share =
+        cfg_.profile.sample(IterComponent::kWeightUpdate, ps_rng_) /
+        shards_.size();
+    last_server_wu_ = wu_share;
 
     // Reset reception state for the next round before replies go out.
-    for (auto &rx : ps_rx_)
+    for (auto &rx : st.rx)
         rx.reset();
-    ps_received_ = 0;
-    const std::uint64_t round = srv_round_++;
+    st.received = 0;
+    const std::uint64_t round = st.round++;
 
-    sim_->after(cfg_.overhead.recv + sum_time + last_server_wu_,
-                [this, round] {
-        // Unicast the aggregate to every worker; each message costs a
-        // send posting, and all share the server's single link.
+    sim_->after(cfg_.overhead.recv + sum_time + wu_share,
+                [this, shard, round] {
+        // Unicast the slice to every worker; each message costs a send
+        // posting, and all share the shard's single link.
         for (std::size_t i = 0; i < workers_.size(); ++i) {
             WorkerCtx *wp = &workers_[i];
-            sim_->after(cfg_.overhead.send * (i + 1), [this, wp, round] {
+            sim_->after(cfg_.overhead.send * (i + 1),
+                        [this, shard, wp, round] {
                 const std::uint64_t tid =
-                    kResultFlag | gradTid(round, wp->index);
-                sendVector(*cluster_.ps, wp->host->ip(), kWorkerPort,
-                           kPsPort, /*tos=*/0, tid, ps_sum_, fmt_,
+                    kResultFlag | makeTid(round, shard);
+                sendVector(*cluster_.ps_shards[shard], wp->host->ip(),
+                           kWorkerPort, kPsPort, /*tos=*/0, tid,
+                           state_[shard].sum, shards_[shard].fmt,
                            /*seg_base=*/0, /*job=*/0, /*ver_quota=*/0,
-                           srv_ppp_.get());
-                // Guard the downlink transfer; ps_sum_ is stable until
-                // every worker finished this round.
-                result_retx_[wp->index].arm([this, wp, tid,
-                                             round]() -> std::size_t {
-                    if (stopped())
-                        return 0;
-                    if (!partitionedFabric()) {
-                        if (wp->round != round)
+                           state_[shard].ppp.get());
+                // Guard the result slice; st.sum is stable until every
+                // worker finished this round (a worker missing this
+                // slice cannot have scattered the next round's slice).
+                result_retx_[wp->index * shards_.size() + shard].arm(
+                    [this, shard, wp, tid, round]() -> std::size_t {
+                        if (stopped())
                             return 0;
-                        std::size_t n = 0;
-                        for (std::uint64_t seg : wp->rx.missingSegments()) {
-                            sendVectorSegment(
-                                *cluster_.ps, wp->host->ip(), kWorkerPort,
-                                kPsPort, /*tos=*/0, tid, ps_sum_, fmt_, seg,
-                                /*seg_base=*/0, /*job=*/0, /*ver_quota=*/0,
-                                srv_ppp_.get());
-                            ++recovery_.retransmits;
-                            ++n;
+                        if (!partitionedFabric()) {
+                            if (wp->round != round)
+                                return 0;
+                            return resendResultSegments(
+                                shard, *wp, tid,
+                                worker_rx_[wp->index][shard]
+                                    .missingSegments());
                         }
-                        return n;
-                    }
-                    // Probe the worker's assembler one rack hop later,
-                    // resend after another hop. srv_round_ guards
-                    // ps_sum_ liveness: once the next aggregate
-                    // overwrites it, stale resends are pointless (the
-                    // receiver would drop them by round anyway).
-                    afterRackHop([this, wp, tid, round] {
-                        if (stopped() || wp->round != round)
-                            return;
-                        std::vector<std::uint64_t> missing =
-                            wp->rx.missingSegments();
-                        if (missing.empty())
-                            return;
-                        afterRackHop([this, wp, tid, round,
-                                      missing = std::move(missing)] {
-                            if (stopped() || srv_round_ != round + 1)
+                        // Probe the worker's assembler one rack hop
+                        // later, resend after another hop. The round
+                        // guard on the shard side keeps stale resends
+                        // off a recycled st.sum.
+                        afterRackHop([this, shard, wp, tid, round] {
+                            if (stopped() || wp->round != round)
                                 return;
-                            for (std::uint64_t seg : missing) {
-                                sendVectorSegment(
-                                    *cluster_.ps, wp->host->ip(),
-                                    kWorkerPort, kPsPort, /*tos=*/0, tid,
-                                    ps_sum_, fmt_, seg, /*seg_base=*/0,
-                                    /*job=*/0, /*ver_quota=*/0,
-                                    srv_ppp_.get());
-                                ++recovery_.retransmits;
-                            }
+                            std::vector<std::uint64_t> missing =
+                                worker_rx_[wp->index][shard]
+                                    .missingSegments();
+                            if (missing.empty())
+                                return;
+                            afterRackHop([this, shard, wp, tid, round,
+                                          missing = std::move(missing)] {
+                                if (stopped() ||
+                                    state_[shard].round != round + 1)
+                                    return;
+                                resendResultSegments(shard, *wp, tid,
+                                                     missing);
+                            });
                         });
+                        return 1;
                     });
-                    return 1;
-                });
             });
         }
     });
@@ -247,31 +313,47 @@ SyncPsJob::onWorkerPacket(WorkerCtx &w, const net::PacketPtr &pkt)
     const auto *chunk = std::get_if<net::ChunkPayload>(&pkt->payload);
     if (chunk == nullptr || (chunk->transfer_id & kResultFlag) == 0)
         return;
-    if (tidWorker(chunk->transfer_id) != w.index ||
+    const auto shard =
+        static_cast<std::size_t>(tidId(chunk->transfer_id));
+    if (shard >= shards_.size() ||
         tidRound(chunk->transfer_id) != w.round)
-        return; // stale round or misrouted: drop
-    if (w.rx.offer(*chunk)) {
-        deferDone(result_retx_[w.index]);
-        onWeightsComplete(w);
+        return; // stale round (late retransmission): drop
+    if (worker_rx_[w.index][shard].offer(*chunk)) {
+        deferDone(result_retx_[w.index * shards_.size() + shard]);
+        if (++slices_done_[w.index] == shards_.size())
+            onSlicesComplete(w);
     }
 }
 
 void
-SyncPsJob::onWeightsComplete(WorkerCtx &w)
+SyncPsJob::onSlicesComplete(WorkerCtx &w)
 {
     WorkerCtx *wp = &w;
     sim_->after(cfg_.overhead.recv, [this, wp] {
         WorkerCtx &w = *wp;
+        // Stitch the K slices into the full aggregated gradient.
+        ml::Vec &agg = agg_[w.index];
+        agg.resize(gradientWire(false).logical_floats);
+        for (std::size_t s = 0; s < shards_.size(); ++s) {
+            const ShardSpec &sp = shards_[s];
+            const auto &v = worker_rx_[w.index][s].vector();
+            std::copy(v.begin(), v.end(), agg.begin() + sp.log_begin);
+            worker_rx_[w.index][s].reset();
+        }
+        slices_done_[w.index] = 0;
+
         // The server's update time is part of the round but is weight
         // update, not aggregation; split the charges accordingly.
+        // last_server_wu_ still holds round r here: no shard can
+        // aggregate round r+1 until this worker scatters r+1.
         const sim::TimeNs elapsed = sim_->now() - w.lgc_end;
-        const sim::TimeNs agg =
-            elapsed > last_server_wu_ ? elapsed - last_server_wu_ : 0;
-        chargeAggregation(w, agg);
+        const sim::TimeNs agg_time = elapsed > last_server_wu_
+                                         ? elapsed - last_server_wu_
+                                         : 0;
+        chargeAggregation(w, agg_time);
         w.metrics.add(IterComponent::kWeightUpdate, last_server_wu_);
         w.agent->applyAggregatedGradient(
-            w.rx.vector(), static_cast<std::uint32_t>(workers_.size()));
-        w.rx.reset();
+            agg, static_cast<std::uint32_t>(workers_.size()));
         ++w.round;
         if (w.index == 0)
             noteGlobalIteration();

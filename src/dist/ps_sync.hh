@@ -1,11 +1,21 @@
 /**
  * @file
  * Synchronous parameter-server training (paper Figure 1a), the PS
- * baseline: workers unicast full gradient vectors to a central server;
- * the server waits for *complete* vectors from every worker before
- * summing (conventional aggregation, Figure 8a), performs the weight
- * update, and unicasts the result back to each worker over its single
- * link — the central bottleneck the paper measures.
+ * baseline: workers unicast their gradients to the server; the server
+ * waits for *complete* vectors from every worker before summing
+ * (conventional aggregation, Figure 8a), performs the weight update,
+ * and unicasts the result back to each worker over its single link —
+ * the central bottleneck the paper measures (§2.3).
+ *
+ * The server may be split into K shards, each owning 1/K of the
+ * parameter vector: workers scatter their gradient slices to all
+ * shards, every shard sums its slice once all N arrive, and sends it
+ * back. kSyncPs is the paper's single server (K = 1); kSyncShardedPs
+ * is the extension baseline with K = JobConfig::ps_shards, which
+ * spreads the aggregation load over K links at the cost of K x N
+ * messages per round — context for how much of iSwitch's win survives
+ * against a stronger server-side baseline (see
+ * `bench_ablation_sharded_ps`).
  *
  * Logically the server returns the aggregated gradient and workers run
  * identical local optimizer replicas; this is mathematically the same
@@ -22,7 +32,7 @@
 
 namespace isw::dist {
 
-/** Sync PS job (PS rows of Tables 3/4). */
+/** Sync PS job: the PS rows of Tables 3/4 and the sharded extension. */
 class SyncPsJob : public JobBase
 {
   public:
@@ -32,25 +42,61 @@ class SyncPsJob : public JobBase
     void start() override;
 
   private:
-    void beginRound(WorkerCtx &w);
-    void onPsPacket(const net::PacketPtr &pkt);
-    void onWorkerPacket(WorkerCtx &w, const net::PacketPtr &pkt);
-    void serverAggregate();
-    void onWeightsComplete(WorkerCtx &w);
+    /** Logical/wire extent of one shard's slice. */
+    struct ShardSpec
+    {
+        std::uint64_t log_begin = 0;
+        std::uint64_t log_end = 0;
+        std::uint64_t wire_bytes = 0;
+        WireFormat fmt;
+    };
 
-    WireFormat fmt_;
-    std::vector<VectorAssembler> ps_rx_; ///< per-worker gradient streams
-    std::size_t ps_received_ = 0;
-    std::uint64_t srv_round_ = 0; ///< round the server is collecting
-    ml::Vec ps_sum_;
+    /** Per-shard server state. */
+    struct ShardState
+    {
+        std::vector<VectorAssembler> rx; ///< one per worker
+        std::size_t received = 0;
+        std::uint64_t round = 0; ///< round this shard is collecting
+        ml::Vec sum;
+        /** The shard's pipeline stage for result sends (workers use
+         *  their per-WorkerCtx processors). */
+        std::unique_ptr<PrePostProcessor> ppp;
+    };
+
+    void beginRound(WorkerCtx &w);
+    void onShardPacket(std::size_t shard, const net::PacketPtr &pkt);
+    void shardAggregate(std::size_t shard);
+    void onWorkerPacket(WorkerCtx &w, const net::PacketPtr &pkt);
+    void onSlicesComplete(WorkerCtx &w);
+
+    /** Worker @p w's gradient slice owned by @p shard. */
+    std::span<const float> gradSlice(const WorkerCtx &w,
+                                     std::size_t shard) const;
+    /** Resend segments @p segs of @p w's round-@p round gradient slice
+     *  to @p shard; returns how many were sent. */
+    std::size_t resendGradSegments(WorkerCtx &w, std::size_t shard,
+                                   std::uint64_t round,
+                                   const std::vector<std::uint64_t> &segs);
+    /** Resend segments @p segs of @p shard's result (transfer @p tid)
+     *  to @p w; returns how many were sent. */
+    std::size_t resendResultSegments(std::size_t shard, WorkerCtx &w,
+                                     std::uint64_t tid,
+                                     const std::vector<std::uint64_t> &segs);
+
+    std::vector<ShardSpec> shards_;
+    std::vector<ShardState> state_;
+    /** Per-worker count of completed result slices this round. */
+    std::vector<std::size_t> slices_done_;
+    /** Per-worker per-shard result assemblers. */
+    std::vector<std::vector<VectorAssembler>> worker_rx_;
+    /** Per-worker reassembled aggregate. */
+    std::vector<ml::Vec> agg_;
+    /** One shard's weight-update share, written by the round's last
+     *  aggregating shard. */
     sim::TimeNs last_server_wu_ = 0;
     sim::Rng ps_rng_;
-    /** The server's own pipeline stage for result sends (workers use
-     *  their per-WorkerCtx processors; endpoint strategies pick each
-     *  chunk's exponent from the data, headroom 1). */
-    std::unique_ptr<PrePostProcessor> srv_ppp_;
-    /** Per-worker loss-recovery timers (uplink / downlink). Deque:
-     *  RetxTimer is address-pinned (its pending event captures this). */
+    /** Loss-recovery timers, flattened worker * K + shard (deque:
+     *  RetxTimer is address-pinned by its pending event). */
     std::deque<RetxTimer> grad_retx_;
     std::deque<RetxTimer> result_retx_;
 };

@@ -7,7 +7,6 @@
 #include "dist/iswitch_async.hh"
 #include "dist/iswitch_sync.hh"
 #include "dist/ps_async.hh"
-#include "dist/ps_sharded.hh"
 #include "dist/ps_sync.hh"
 #include "net/packet_pool.hh"
 
@@ -57,6 +56,14 @@ JobBase::JobBase(const JobConfig &cfg) : cfg_(cfg)
         throw std::invalid_argument(
             "JobBase: bounded slot pools are star-cluster only (the "
             "hierarchical path has no slot-aware upward flow yet)");
+    if (cfg_.cluster.ps_shards != 1)
+        throw std::invalid_argument(
+            "JobBase: set the shard count with JobConfig::ps_shards; "
+            "ClusterConfig::ps_shards is derived from it");
+    if (cfg_.strategy == StrategyKind::kSyncShardedPs &&
+        cfg_.ps_shards == 0)
+        throw std::invalid_argument(
+            "JobBase: sharded PS needs JobConfig::ps_shards >= 1");
     owned_sim_ = std::make_unique<sim::Simulation>(cfg_.seed);
     sim_ = owned_sim_.get();
     slot_quota_ =
@@ -67,9 +74,8 @@ JobBase::JobBase(const JobConfig &cfg) : cfg_(cfg)
     ccfg.with_ps = cfg_.strategy == StrategyKind::kSyncPs ||
                    cfg_.strategy == StrategyKind::kAsyncPs ||
                    cfg_.strategy == StrategyKind::kSyncShardedPs;
-    ccfg.ps_shards = cfg_.strategy == StrategyKind::kSyncShardedPs
-                         ? std::max<std::size_t>(cfg_.ps_shards, 1)
-                         : 1;
+    ccfg.ps_shards =
+        cfg_.strategy == StrategyKind::kSyncShardedPs ? cfg_.ps_shards : 1;
     cluster_ = cfg_.use_fat_tree ? buildFatTreeCluster(*sim_, ccfg)
                : cfg_.use_tree   ? buildTreeCluster(*sim_, ccfg)
                                  : buildStarCluster(*sim_, ccfg);
@@ -648,6 +654,7 @@ makeJob(const JobConfig &cfg)
 {
     switch (cfg.strategy) {
       case StrategyKind::kSyncPs:
+      case StrategyKind::kSyncShardedPs:
         return std::make_unique<SyncPsJob>(cfg);
       case StrategyKind::kSyncAllReduce:
         return std::make_unique<SyncAllReduceJob>(cfg);
@@ -657,8 +664,6 @@ makeJob(const JobConfig &cfg)
         return std::make_unique<AsyncPsJob>(cfg);
       case StrategyKind::kAsyncIswitch:
         return std::make_unique<AsyncIswitchJob>(cfg);
-      case StrategyKind::kSyncShardedPs:
-        return std::make_unique<SyncShardedPsJob>(cfg);
     }
     throw std::logic_error("makeJob: unknown strategy");
 }

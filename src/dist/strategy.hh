@@ -107,7 +107,8 @@ struct JobConfig
     std::uint64_t seed = 1;
     /** Algorithm 1's staleness bound S (async strategies). */
     std::uint32_t staleness_bound = 3;
-    /** Shard count for the sharded-PS extension baseline. */
+    /** Shard count K >= 1 for the sharded-PS extension baseline
+     *  (kSyncShardedPs); kSyncPs always runs one server. */
     std::size_t ps_shards = 4;
     /**
      * Async iSwitch aggregation threshold H (the SetH knob, Table 2).

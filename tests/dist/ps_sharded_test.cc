@@ -1,8 +1,12 @@
-/** @file Tests for the sharded parameter-server extension baseline. */
+/** @file Tests for the sync parameter-server job with K shards. */
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "dist/strategy.hh"
+#include "harness/runner.hh"
 
 namespace isw::dist {
 namespace {
@@ -75,21 +79,59 @@ TEST(ShardedPs, ShardingRelievesTheCentralLink)
     EXPECT_LT(rs.perIterationMs(), rp.perIterationMs());
 }
 
-TEST(ShardedPs, SingleShardBehavesLikePlainPsTiming)
+TEST(ShardedPs, SingleShardReportEqualsPlainPs)
 {
-    // K=1 sharded PS is the plain PS protocol with different transfer
-    // bookkeeping; per-iteration times should be close.
-    JobConfig plain = JobConfig::forBenchmark(
-        rl::Algo::kPpo, StrategyKind::kSyncPs, 4);
-    plain.stop.max_iterations = 10;
-    JobConfig sharded = JobConfig::forBenchmark(
-        rl::Algo::kPpo, StrategyKind::kSyncShardedPs, 4);
-    sharded.ps_shards = 1;
-    sharded.stop.max_iterations = 10;
-    const RunResult rp = runJob(plain);
-    const RunResult rs = runJob(sharded);
-    EXPECT_NEAR(rs.perIterationMs(), rp.perIterationMs(),
-                rp.perIterationMs() * 0.05);
+    // K=1 sharded PS is the paper's PS: same job, same report, byte
+    // for byte, on every fabric, lossless and lossy.
+    struct Fabric
+    {
+        const char *name;
+        bool tree;
+        bool fat_tree;
+    };
+    for (const Fabric f : {Fabric{"star", false, false},
+                           Fabric{"tree", true, false},
+                           Fabric{"fat-tree", false, true}}) {
+        for (const double loss : {0.0, 0.01}) {
+            auto report = [&](StrategyKind k) {
+                JobConfig cfg =
+                    JobConfig::forBenchmark(rl::Algo::kPpo, k, 4);
+                cfg.wire_model_bytes = 0;
+                cfg.ps_shards = 1;
+                cfg.use_tree = f.tree;
+                cfg.use_fat_tree = f.fat_tree;
+                cfg.cluster.per_rack = 2;
+                cfg.cluster.racks_per_pod = 1; // 2 racks, 2 pods
+                cfg.cluster.edge_link.loss_prob = loss;
+                cfg.stop.max_iterations = 6;
+                cfg.curve_every = 2;
+                cfg.seed = 5;
+                return harness::resultToJson(runJob(cfg)).dump(2);
+            };
+            EXPECT_EQ(report(StrategyKind::kSyncShardedPs),
+                      report(StrategyKind::kSyncPs))
+                << f.name << ", edge loss " << loss;
+        }
+    }
+}
+
+TEST(ShardedPs, RejectsClusterShardCount)
+{
+    JobConfig cfg = shardedConfig(2, 1);
+    cfg.cluster.ps_shards = 2;
+    try {
+        makeJob(cfg);
+        FAIL() << "ClusterConfig::ps_shards != 1 was accepted";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("JobConfig::ps_shards"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(ShardedPs, RejectsZeroShards)
+{
+    EXPECT_THROW(makeJob(shardedConfig(0, 1)), std::invalid_argument);
 }
 
 TEST(ShardedPs, TreeTopologyPlacesShardsAcrossRacks)

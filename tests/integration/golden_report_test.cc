@@ -75,6 +75,14 @@ TEST(GoldenReport, SyncPsTree)
     expectGolden("sync_ps_tree", treeConfig(StrategyKind::kSyncPs, 4, 4));
 }
 
+TEST(GoldenReport, SyncShardedPsTree)
+{
+    JobConfig cfg = treeConfig(StrategyKind::kSyncShardedPs, 6, 6);
+    cfg.ps_shards = 3; // shards 0 and 2 in rack 0, shard 1 in rack 1
+    cfg.cluster.edge_link.loss_prob = 0.01;
+    expectGolden("sync_sharded_ps_tree", cfg);
+}
+
 TEST(GoldenReport, AsyncPsTree)
 {
     expectGolden("async_ps_tree", treeConfig(StrategyKind::kAsyncPs, 4, 6));
