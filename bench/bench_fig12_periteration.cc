@@ -14,7 +14,8 @@ using namespace isw;
 int
 main(int argc, char **argv)
 {
-    const harness::Cli cli = bench::initBench(argc, argv, {"workers", "csv"});
+    const harness::Cli cli =
+        bench::initBench(argc, argv, {"csv"}, {"workers"});
     const auto workers =
         static_cast<std::size_t>(cli.getInt("workers", 4));
     const bool csv = cli.has("csv");

@@ -137,7 +137,7 @@ int
 main(int argc, char **argv)
 {
     harness::Cli cli = bench::initBench(
-        argc, argv, {"per-rack", "fat-racks", "fat-per-rack", "fat-pod"});
+        argc, argv, {}, {"per-rack", "fat-racks", "fat-per-rack", "fat-pod"});
     const auto per_rack =
         static_cast<std::size_t>(cli.getInt("per-rack", 3));
     const auto fat_racks =
@@ -145,11 +145,6 @@ main(int argc, char **argv)
     const auto fat_per_rack =
         static_cast<std::size_t>(cli.getInt("fat-per-rack", 8));
     const auto fat_pod = static_cast<std::size_t>(cli.getInt("fat-pod", 4));
-    if (per_rack == 0 || fat_racks == 0 || fat_per_rack == 0 ||
-        fat_pod == 0)
-        throw std::invalid_argument(
-            "bench_fig15_scalability: --per-rack/--fat-racks/"
-            "--fat-per-rack/--fat-pod must be >= 1");
     bench::printHeader("Figure 15 — rack-scale scalability (racks of " +
                        std::to_string(per_rack) + ")");
 

@@ -1,10 +1,11 @@
-# Runs ${BENCH} with malformed command lines and checks that each one
+# Runs benches with malformed command lines and checks that each one
 # exits with status 2 and names the problem on stderr.
 #
-#   cmake -DBENCH=<bench binary> -P check_bad_flags.cmake
+#   cmake -DBENCH=<any bench> -DFIG12=<bench_fig12_periteration>
+#         -DFIG15=<bench_fig15_scalability> -P check_bad_flags.cmake
 
-function(expect_usage_error expected)
-  execute_process(COMMAND ${BENCH} ${ARGN}
+function(expect_usage_error bench expected)
+  execute_process(COMMAND ${bench} ${ARGN}
                   RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
   if(NOT rc EQUAL 2)
     message(FATAL_ERROR "'${ARGN}': expected exit status 2, got '${rc}'")
@@ -17,7 +18,12 @@ function(expect_usage_error expected)
   endif()
 endfunction()
 
-expect_usage_error("unknown flag --bogus" --bogus)
-expect_usage_error("unknown flag --help" --help)
-expect_usage_error("--jobs wants an integer, got 'abc'" --jobs abc)
-expect_usage_error("--jobs must be >= 0" --jobs -3)
+expect_usage_error(${BENCH} "unknown flag --bogus" --bogus)
+expect_usage_error(${BENCH} "unknown flag --help" --help)
+expect_usage_error(${BENCH} "--jobs wants an integer, got 'abc'" --jobs abc)
+expect_usage_error(${BENCH} "--jobs must be >= 0" --jobs -3)
+# Bench-specific count flags share the same path.
+expect_usage_error(${FIG15} "--per-rack wants an integer, got 'x'"
+                   --per-rack x)
+expect_usage_error(${FIG15} "--per-rack must be >= 1" --per-rack 0)
+expect_usage_error(${FIG12} "--workers must be >= 1" --workers -1)

@@ -16,9 +16,11 @@ std::unique_ptr<harness::Runner> g_runner;
 
 harness::Cli
 initBench(int argc, const char *const *argv,
-          std::vector<std::string> extra_known)
+          std::vector<std::string> extra_known,
+          const std::vector<std::string> &count_flags)
 {
     std::vector<std::string> known = std::move(extra_known);
+    known.insert(known.end(), count_flags.begin(), count_flags.end());
     known.push_back("jobs");
     try {
         harness::Cli cli(argc, argv);
@@ -26,6 +28,9 @@ initBench(int argc, const char *const *argv,
         const std::int64_t jobs = cli.getInt("jobs", 0);
         if (jobs < 0)
             throw std::invalid_argument("--jobs must be >= 0");
+        for (const std::string &name : count_flags)
+            if (cli.getInt(name, 1) < 1)
+                throw std::invalid_argument("--" + name + " must be >= 1");
         g_jobs = static_cast<std::size_t>(jobs);
         return cli;
     } catch (const std::invalid_argument &e) {

@@ -35,13 +35,15 @@ inline const std::array<dist::StrategyKind, 3> kSyncStrategies{
 
 /**
  * Parse the standard bench command line (`--jobs N` plus
- * @p extra_known flags) and configure the shared runner before first
- * use. Returns the parsed Cli for bench-specific flags. A malformed
- * command line (unknown flag, bad --jobs value) prints the error and
+ * @p extra_known flags plus @p count_flags, which must be integers
+ * >= 1 when given) and configure the shared runner before first use.
+ * Returns the parsed Cli for bench-specific flags. A malformed command
+ * line (unknown flag, bad --jobs or count value) prints the error and
  * the known flags to stderr and exits with status 2.
  */
 harness::Cli initBench(int argc, const char *const *argv,
-                       std::vector<std::string> extra_known = {});
+                       std::vector<std::string> extra_known = {},
+                       const std::vector<std::string> &count_flags = {});
 
 /** The process-wide experiment runner (created on first use). */
 harness::Runner &runner();

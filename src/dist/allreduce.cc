@@ -119,75 +119,26 @@ SyncAllReduceJob::sendStep(WorkerCtx &w, std::size_t step)
             auto oit = out_[wp->index].find(tid);
             if (stopped() || oit == out_[wp->index].end())
                 return 0;
-            if (!partitionedFabric()) {
-                // Free-ack model: consult the successor's assembler for
-                // what is still missing (absent = nothing arrived yet).
-                std::vector<std::uint64_t> missing;
-                auto ait = ring_[rcv].inflight.find(tid);
-                if (ait != ring_[rcv].inflight.end()) {
-                    missing = ait->second.missingSegments();
-                } else {
-                    missing.resize(oit->second.fmt.segments());
-                    for (std::uint64_t s = 0; s < missing.size(); ++s)
-                        missing[s] = s;
-                }
-                for (std::uint64_t seg : missing) {
-                    sendVectorSegment(
-                        *oit->second.src, oit->second.dst->ip(),
-                        kWorkerPort, kWorkerPort, /*tos=*/0, tid,
-                        oit->second.data, oit->second.fmt, seg,
-                        /*seg_base=*/0, /*job=*/0, /*ver_quota=*/0,
-                        wp->ppp.get());
-                    ++recovery_.retransmits;
-                }
-                return missing.size();
+            // Free-ack model: consult the successor's assembler for what
+            // is still missing (absent = nothing arrived yet).
+            std::vector<std::uint64_t> missing;
+            auto ait = ring_[rcv].inflight.find(tid);
+            if (ait != ring_[rcv].inflight.end()) {
+                missing = ait->second.missingSegments();
+            } else {
+                missing.resize(oit->second.fmt.segments());
+                for (std::uint64_t s = 0; s < missing.size(); ++s)
+                    missing[s] = s;
             }
-            // Partitioned fabric: probe the successor's assembler one
-            // rack hop later, resend after another hop. Stay armed
-            // (return 1) until the successor's completion defers a
-            // done().
-            afterRackHop([this, wp, tid, rcv] {
-                if (stopped())
-                    return;
-                const RingState &rr = ring_[rcv];
-                const std::uint64_t round = tid / 1000;
-                const std::size_t step = tid % 1000;
-                if (round < rr.round ||
-                    (round == rr.round && step < rr.step))
-                    return; // consumed; a deferred done() is in flight
-                std::vector<std::uint64_t> missing;
-                auto ait = rr.inflight.find(tid);
-                const bool all = ait == rr.inflight.end();
-                if (!all) {
-                    if (ait->second.complete())
-                        return; // assembled, consumption pending
-                    missing = ait->second.missingSegments();
-                    if (missing.empty())
-                        return;
-                }
-                afterRackHop([this, wp, tid, all,
-                              missing = std::move(missing)] {
-                    auto oit = out_[wp->index].find(tid);
-                    if (stopped() || oit == out_[wp->index].end())
-                        return;
-                    std::vector<std::uint64_t> segs = missing;
-                    if (all) {
-                        segs.resize(oit->second.fmt.segments());
-                        for (std::uint64_t s = 0; s < segs.size(); ++s)
-                            segs[s] = s;
-                    }
-                    for (std::uint64_t seg : segs) {
-                        sendVectorSegment(
-                            *oit->second.src, oit->second.dst->ip(),
-                            kWorkerPort, kWorkerPort, /*tos=*/0, tid,
-                            oit->second.data, oit->second.fmt, seg,
-                            /*seg_base=*/0, /*job=*/0, /*ver_quota=*/0,
-                            wp->ppp.get());
-                        ++recovery_.retransmits;
-                    }
-                });
-            });
-            return 1;
+            for (std::uint64_t seg : missing) {
+                sendVectorSegment(*oit->second.src, oit->second.dst->ip(),
+                                  kWorkerPort, kWorkerPort, /*tos=*/0, tid,
+                                  oit->second.data, oit->second.fmt, seg,
+                                  /*seg_base=*/0, /*job=*/0, /*ver_quota=*/0,
+                                  wp->ppp.get());
+                ++recovery_.retransmits;
+            }
+            return missing.size();
         });
     });
 }
@@ -222,20 +173,16 @@ SyncAllReduceJob::onWorkerPacket(WorkerCtx &w, const net::PacketPtr &pkt)
     }
     if (it->second.offer(*chunk)) {
         // Transfer complete: release the predecessor's retransmission
-        // guard for it (timer + Outgoing entry), one rack hop later on
-        // a partitioned fabric. Transfer ids never repeat, so a stale
-        // lookup is a harmless no-op.
+        // guard for it (timer + Outgoing entry). Transfer ids never
+        // repeat, so a stale lookup is a harmless no-op.
         if (recoveryEnabled()) {
             const std::size_t pred =
                 (w.index + workers_.size() - 1) % workers_.size();
-            const std::uint64_t tid = chunk->transfer_id;
-            afterRackHop([this, pred, tid] {
-                auto oit = out_[pred].find(tid);
-                if (oit != out_[pred].end()) {
-                    oit->second.timer.done();
-                    out_[pred].erase(oit);
-                }
-            });
+            auto oit = out_[pred].find(chunk->transfer_id);
+            if (oit != out_[pred].end()) {
+                oit->second.timer.done();
+                out_[pred].erase(oit);
+            }
         }
         tryAdvance(w);
     }

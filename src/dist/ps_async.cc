@@ -49,12 +49,8 @@ AsyncPsJob::start()
         w.host->setReceiveHandler(
             [this, wp](net::PacketPtr pkt) { onWorkerPacket(*wp, pkt); });
     }
-    // Each initial pull is its own zero-delay event, in worker order;
-    // the event counts in every Async PS report include them.
-    for (auto &w : workers_) {
-        WorkerCtx *wp = &w;
-        sim_->at(sim_->now(), [this, wp] { pullWeights(*wp); });
-    }
+    for (auto &w : workers_)
+        pullWeights(w);
 }
 
 void
@@ -119,7 +115,7 @@ AsyncPsJob::onPsPacket(const net::PacketPtr &pkt)
         if (!srv_rx_[idx].offer(*chunk))
             return;
         srv_applied_[idx] = seq;
-        deferDone(push_retx_[idx]);
+        push_retx_[idx].done();
         // Full gradient received: apply it after the update cost.
         const sim::TimeNs wu =
             cfg_.profile.sample(IterComponent::kWeightUpdate, ps_rng_);
@@ -191,67 +187,28 @@ AsyncPsJob::lgc(WorkerCtx &w)
                 push_retx_[wp->index].arm([this, wp, tid,
                                            seq]() -> std::size_t {
                     const std::size_t i = wp->index;
-                    if (stopped() || push_seq_[i] != seq)
+                    if (stopped() || push_seq_[i] != seq ||
+                        srv_applied_[i] >= seq)
                         return 0;
-                    if (!partitionedFabric()) {
-                        if (srv_applied_[i] >= seq)
-                            return 0;
-                        // If the server never adopted this seq, all of
-                        // it is missing; else consult its assembler.
-                        std::vector<std::uint64_t> missing;
-                        if (srv_asm_seq_[i] == seq) {
-                            missing = srv_rx_[i].missingSegments();
-                        } else {
-                            missing.resize(fmt_.segments());
-                            for (std::uint64_t s = 0; s < missing.size();
-                                 ++s)
-                                missing[s] = s;
-                        }
-                        for (std::uint64_t seg : missing) {
-                            sendVectorSegment(
-                                *wp->host, cluster_.ps->ip(), kPsPort,
-                                kWorkerPort, /*tos=*/0, tid, last_push_[i],
-                                fmt_, seg, /*seg_base=*/0, /*job=*/0,
-                                /*ver_quota=*/0, wp->ppp.get());
-                            ++recovery_.retransmits;
-                        }
-                        return missing.size();
+                    // If the server never adopted this seq, all of it is
+                    // missing; else consult its assembler.
+                    std::vector<std::uint64_t> missing;
+                    if (srv_asm_seq_[i] == seq) {
+                        missing = srv_rx_[i].missingSegments();
+                    } else {
+                        missing.resize(fmt_.segments());
+                        for (std::uint64_t s = 0; s < missing.size(); ++s)
+                            missing[s] = s;
                     }
-                    // Partitioned fabric: probe the server's assembler
-                    // one rack hop later, resend after another hop.
-                    afterRackHop([this, wp, tid, seq] {
-                        const std::size_t i = wp->index;
-                        if (stopped() || srv_applied_[i] >= seq ||
-                            srv_asm_seq_[i] > seq)
-                            return;
-                        std::vector<std::uint64_t> missing;
-                        if (srv_asm_seq_[i] == seq) {
-                            missing = srv_rx_[i].missingSegments();
-                        } else {
-                            missing.resize(fmt_.segments());
-                            for (std::uint64_t s = 0; s < missing.size();
-                                 ++s)
-                                missing[s] = s;
-                        }
-                        if (missing.empty())
-                            return;
-                        afterRackHop([this, wp, tid, seq,
-                                      missing = std::move(missing)] {
-                            const std::size_t i = wp->index;
-                            if (stopped() || push_seq_[i] != seq)
-                                return;
-                            for (std::uint64_t seg : missing) {
-                                sendVectorSegment(
-                                    *wp->host, cluster_.ps->ip(), kPsPort,
-                                    kWorkerPort, /*tos=*/0, tid,
-                                    last_push_[i], fmt_, seg,
-                                    /*seg_base=*/0, /*job=*/0,
-                                    /*ver_quota=*/0, wp->ppp.get());
-                                ++recovery_.retransmits;
-                            }
-                        });
-                    });
-                    return 1;
+                    for (std::uint64_t seg : missing) {
+                        sendVectorSegment(
+                            *wp->host, cluster_.ps->ip(), kPsPort,
+                            kWorkerPort, /*tos=*/0, tid, last_push_[i],
+                            fmt_, seg, /*seg_base=*/0, /*job=*/0,
+                            /*ver_quota=*/0, wp->ppp.get());
+                        ++recovery_.retransmits;
+                    }
+                    return missing.size();
                 });
             });
         }

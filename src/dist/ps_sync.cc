@@ -112,38 +112,6 @@ SyncPsJob::gradSlice(const WorkerCtx &w, std::size_t shard) const
             sp.log_end - sp.log_begin};
 }
 
-std::size_t
-SyncPsJob::resendGradSegments(WorkerCtx &w, std::size_t shard,
-                              std::uint64_t round,
-                              const std::vector<std::uint64_t> &segs)
-{
-    for (std::uint64_t seg : segs) {
-        sendVectorSegment(*w.host, cluster_.ps_shards[shard]->ip(),
-                          kPsPort, kWorkerPort, /*tos=*/0,
-                          makeTid(round, w.index), gradSlice(w, shard),
-                          shards_[shard].fmt, seg, /*seg_base=*/0,
-                          /*job=*/0, /*ver_quota=*/0, w.ppp.get());
-        ++recovery_.retransmits;
-    }
-    return segs.size();
-}
-
-std::size_t
-SyncPsJob::resendResultSegments(std::size_t shard, WorkerCtx &w,
-                                std::uint64_t tid,
-                                const std::vector<std::uint64_t> &segs)
-{
-    for (std::uint64_t seg : segs) {
-        sendVectorSegment(*cluster_.ps_shards[shard], w.host->ip(),
-                          kWorkerPort, kPsPort, /*tos=*/0, tid,
-                          state_[shard].sum, shards_[shard].fmt, seg,
-                          /*seg_base=*/0, /*job=*/0, /*ver_quota=*/0,
-                          state_[shard].ppp.get());
-        ++recovery_.retransmits;
-    }
-    return segs.size();
-}
-
 void
 SyncPsJob::beginRound(WorkerCtx &w)
 {
@@ -165,34 +133,20 @@ SyncPsJob::beginRound(WorkerCtx &w)
                 // is modeled as free; data resends pay full wire cost).
                 grad_retx_[wp->index * shards_.size() + s].arm(
                     [this, wp, s, r]() -> std::size_t {
-                        if (stopped())
+                        if (stopped() || state_[s].round != r)
                             return 0;
-                        if (!partitionedFabric()) {
-                            if (state_[s].round != r)
-                                return 0;
-                            return resendGradSegments(
-                                *wp, s, r,
-                                state_[s].rx[wp->index].missingSegments());
+                        const std::vector<std::uint64_t> missing =
+                            state_[s].rx[wp->index].missingSegments();
+                        for (std::uint64_t seg : missing) {
+                            sendVectorSegment(
+                                *wp->host, cluster_.ps_shards[s]->ip(),
+                                kPsPort, kWorkerPort, /*tos=*/0,
+                                makeTid(r, wp->index), gradSlice(*wp, s),
+                                shards_[s].fmt, seg, /*seg_base=*/0,
+                                /*job=*/0, /*ver_quota=*/0, wp->ppp.get());
+                            ++recovery_.retransmits;
                         }
-                        // Partitioned fabric: probe the shard's
-                        // assembler one rack hop later, resend after
-                        // another hop. The timer stays armed (return 1)
-                        // until the shard's completion defers a done().
-                        afterRackHop([this, wp, s, r] {
-                            if (stopped() || state_[s].round != r)
-                                return;
-                            std::vector<std::uint64_t> missing =
-                                state_[s].rx[wp->index].missingSegments();
-                            if (missing.empty())
-                                return;
-                            afterRackHop([this, wp, s, r,
-                                          missing = std::move(missing)] {
-                                if (stopped() || wp->round != r)
-                                    return;
-                                resendGradSegments(*wp, s, r, missing);
-                            });
-                        });
-                        return 1;
+                        return missing.size();
                     });
             });
         }
@@ -211,7 +165,7 @@ SyncPsJob::onShardPacket(std::size_t shard, const net::PacketPtr &pkt)
         tidRound(chunk->transfer_id) != st.round)
         return; // stale round (late retransmission): drop
     if (st.rx[widx].offer(*chunk)) {
-        deferDone(grad_retx_[widx * shards_.size() + shard]);
+        grad_retx_[widx * shards_.size() + shard].done();
         if (++st.received == workers_.size())
             shardAggregate(shard);
     }
@@ -267,38 +221,20 @@ SyncPsJob::shardAggregate(std::size_t shard)
                 // slice cannot have scattered the next round's slice).
                 result_retx_[wp->index * shards_.size() + shard].arm(
                     [this, shard, wp, tid, round]() -> std::size_t {
-                        if (stopped())
+                        if (stopped() || wp->round != round)
                             return 0;
-                        if (!partitionedFabric()) {
-                            if (wp->round != round)
-                                return 0;
-                            return resendResultSegments(
-                                shard, *wp, tid,
-                                worker_rx_[wp->index][shard]
-                                    .missingSegments());
+                        const std::vector<std::uint64_t> missing =
+                            worker_rx_[wp->index][shard].missingSegments();
+                        for (std::uint64_t seg : missing) {
+                            sendVectorSegment(
+                                *cluster_.ps_shards[shard], wp->host->ip(),
+                                kWorkerPort, kPsPort, /*tos=*/0, tid,
+                                state_[shard].sum, shards_[shard].fmt, seg,
+                                /*seg_base=*/0, /*job=*/0, /*ver_quota=*/0,
+                                state_[shard].ppp.get());
+                            ++recovery_.retransmits;
                         }
-                        // Probe the worker's assembler one rack hop
-                        // later, resend after another hop. The round
-                        // guard on the shard side keeps stale resends
-                        // off a recycled st.sum.
-                        afterRackHop([this, shard, wp, tid, round] {
-                            if (stopped() || wp->round != round)
-                                return;
-                            std::vector<std::uint64_t> missing =
-                                worker_rx_[wp->index][shard]
-                                    .missingSegments();
-                            if (missing.empty())
-                                return;
-                            afterRackHop([this, shard, wp, tid, round,
-                                          missing = std::move(missing)] {
-                                if (stopped() ||
-                                    state_[shard].round != round + 1)
-                                    return;
-                                resendResultSegments(shard, *wp, tid,
-                                                     missing);
-                            });
-                        });
-                        return 1;
+                        return missing.size();
                     });
             });
         }
@@ -319,7 +255,7 @@ SyncPsJob::onWorkerPacket(WorkerCtx &w, const net::PacketPtr &pkt)
         tidRound(chunk->transfer_id) != w.round)
         return; // stale round (late retransmission): drop
     if (worker_rx_[w.index][shard].offer(*chunk)) {
-        deferDone(result_retx_[w.index * shards_.size() + shard]);
+        result_retx_[w.index * shards_.size() + shard].done();
         if (++slices_done_[w.index] == shards_.size())
             onSlicesComplete(w);
     }

@@ -72,16 +72,6 @@ class SyncPsJob : public JobBase
     /** Worker @p w's gradient slice owned by @p shard. */
     std::span<const float> gradSlice(const WorkerCtx &w,
                                      std::size_t shard) const;
-    /** Resend segments @p segs of @p w's round-@p round gradient slice
-     *  to @p shard; returns how many were sent. */
-    std::size_t resendGradSegments(WorkerCtx &w, std::size_t shard,
-                                   std::uint64_t round,
-                                   const std::vector<std::uint64_t> &segs);
-    /** Resend segments @p segs of @p shard's result (transfer @p tid)
-     *  to @p w; returns how many were sent. */
-    std::size_t resendResultSegments(std::size_t shard, WorkerCtx &w,
-                                     std::uint64_t tid,
-                                     const std::vector<std::uint64_t> &segs);
 
     std::vector<ShardSpec> shards_;
     std::vector<ShardState> state_;

@@ -141,27 +141,6 @@ JobBase::initWorkers()
 }
 
 void
-JobBase::afterRackHop(std::function<void()> fn)
-{
-    if (!partitionedFabric()) {
-        fn();
-        return;
-    }
-    sim_->after(std::max<sim::TimeNs>(cfg_.cluster.uplink.propagation, 1),
-                std::move(fn));
-}
-
-void
-JobBase::deferDone(RetxTimer &t)
-{
-    if (!recovery_on_) {
-        t.done(); // no-op when unconfigured: zero events either way
-        return;
-    }
-    afterRackHop([&t] { t.done(); });
-}
-
-void
 JobBase::resolveRetx()
 {
     retx_ = cfg_.retx;

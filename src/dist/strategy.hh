@@ -295,32 +295,6 @@ class JobBase
             t.configure(*sim_, retx_, recovery_);
     }
 
-    /**
-     * True on rack-partitioned fabrics: every tree and fat-tree, one
-     * rack included. Stars and shared worlds are not partitioned.
-     * Retransmit paths on a partitioned fabric probe the other end's
-     * receive state and resend one rack hop later (afterRackHop);
-     * stars do both inline.
-     */
-    bool partitionedFabric() const { return cluster_.workersPerRack > 0; }
-
-    /**
-     * Run @p fn inline on a star; on a partitioned fabric schedule it
-     * at now + max(uplink propagation, 1 ns). The hop shapes every
-     * lossy tree and fat-tree report (DESIGN.md §13).
-     */
-    void afterRackHop(std::function<void()> fn);
-
-    /**
-     * Complete @p t when its transfer was acknowledged on the far
-     * side: one rack hop later on a partitioned fabric, inline on a
-     * star or when recovery is off (lossless runs schedule zero extra
-     * events). The deferred done cannot race a re-arm: re-arming takes
-     * a full network round trip (>> one hop) after the completion
-     * that triggered it.
-     */
-    void deferDone(RetxTimer &t);
-
     /** The attached fault injector, or nullptr. */
     net::FaultInjector *faultInjector() const { return injector_.get(); }
 

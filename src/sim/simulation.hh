@@ -1,6 +1,6 @@
 /**
  * @file
- * Simulation context: clock + event queue + RNG + stats + logger.
+ * Simulation context: clock + event queue + RNG + logger.
  *
  * Every simulated entity (link, switch, worker, ...) holds a reference
  * to one Simulation and interacts with the world exclusively through
@@ -17,7 +17,6 @@
 #include "sim/event_queue.hh"
 #include "sim/log.hh"
 #include "sim/random.hh"
-#include "sim/stats.hh"
 #include "sim/time.hh"
 
 namespace isw::sim {
@@ -40,7 +39,6 @@ class Simulation
     TimeNs now() const { return events_.now(); }
 
     EventQueue &events() { return events_; }
-    StatsRegistry &stats() { return stats_; }
     Logger &logger() { return logger_; }
 
     /** Root RNG. Prefer forkRng() for per-entity streams. */
@@ -87,7 +85,6 @@ class Simulation
 
   private:
     EventQueue events_;
-    StatsRegistry stats_;
     Logger logger_;
     Rng root_rng_;
     std::uint64_t next_stream_;

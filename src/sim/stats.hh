@@ -1,38 +1,20 @@
 /**
  * @file
- * Lightweight statistics primitives and a named registry.
- *
- * Entities record counters, value accumulators (Welford mean/variance),
- * fixed-bin histograms, and (time, value) series. The registry is used
- * by the experiment harness to dump results as tables or CSV.
+ * Lightweight statistics primitives: a streaming value accumulator
+ * (Welford mean/variance) and a (time, value) series. Iteration
+ * metrics and the reward curve are built on them.
  */
 
 #ifndef ISW_SIM_STATS_HH
 #define ISW_SIM_STATS_HH
 
-#include <algorithm>
 #include <cstddef>
-#include <cstdint>
 #include <limits>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "sim/time.hh"
 
 namespace isw::sim {
-
-/** Monotonic event counter. */
-class Counter
-{
-  public:
-    void inc(std::uint64_t by = 1) { value_ += by; }
-    std::uint64_t value() const { return value_; }
-    void reset() { value_ = 0; }
-
-  private:
-    std::uint64_t value_ = 0;
-};
 
 /** Streaming accumulator: count, sum, min, max, mean, variance. */
 class Accumulator
@@ -59,31 +41,6 @@ class Accumulator
     double max_ = -std::numeric_limits<double>::infinity();
 };
 
-/** Fixed-width-bin histogram over [lo, hi) with under/overflow bins. */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, std::size_t bins);
-
-    void add(double x);
-    std::size_t count() const { return count_; }
-    std::size_t bin(std::size_t i) const { return bins_.at(i); }
-    std::size_t numBins() const { return bins_.size(); }
-    std::size_t underflow() const { return underflow_; }
-    std::size_t overflow() const { return overflow_; }
-    /** Approximate quantile (linear within the containing bin). */
-    double quantile(double q) const;
-
-  private:
-    double lo_;
-    double hi_;
-    double width_;
-    std::vector<std::size_t> bins_;
-    std::size_t underflow_ = 0;
-    std::size_t overflow_ = 0;
-    std::size_t count_ = 0;
-};
-
 /** A recorded (simulated time, value) series, e.g. a reward curve. */
 class TimeSeries
 {
@@ -101,38 +58,6 @@ class TimeSeries
 
   private:
     std::vector<Point> points_;
-};
-
-/**
- * Name-keyed collection of statistics owned by a Simulation.
- *
- * Lookup creates on first use, so call sites stay one-liners:
- *   sim.stats().counter("switch.pkts_aggregated").inc();
- */
-class StatsRegistry
-{
-  public:
-    Counter &counter(const std::string &name) { return counters_[name]; }
-    Accumulator &accumulator(const std::string &name) { return accs_[name]; }
-    TimeSeries &series(const std::string &name) { return series_[name]; }
-
-    const std::map<std::string, Counter> &counters() const
-    {
-        return counters_;
-    }
-    const std::map<std::string, Accumulator> &accumulators() const
-    {
-        return accs_;
-    }
-    const std::map<std::string, TimeSeries> &allSeries() const
-    {
-        return series_;
-    }
-
-  private:
-    std::map<std::string, Counter> counters_;
-    std::map<std::string, Accumulator> accs_;
-    std::map<std::string, TimeSeries> series_;
 };
 
 } // namespace isw::sim

@@ -1,7 +1,8 @@
 /** @file Chaos matrix on a partitioned fabric: lossy, faulted and
  *  failover runs of every strategy on a two-rack tree. The star-only
- *  matrices in chaos_test.cc never reach the tree-fabric retransmit
- *  paths (JobBase::afterRackHop / deferDone); these cells do.
+ *  matrices in chaos_test.cc never reach the tree fabric's hierarchical
+ *  aggregation, cross-rack PS placement or ToR failover under loss;
+ *  these cells do.
  *
  *  The suite names predate the serial-only engine, when these cells
  *  also ran on a parallel one; they are kept so the test ids stay

@@ -1,6 +1,9 @@
 /** @file Golden-report regression tests: the simulated reports of a
  *  few small partitioned-fabric runs are committed under
- *  tests/golden/ and must not drift by a single byte.
+ *  tests/golden/ and must not drift by a single byte. The lossy cases
+ *  pin the loss-recovery path (timeout, free-ack probe of the far
+ *  end's assembler, resend) of sync iSwitch, sync PS, AllReduce and
+ *  Async PS.
  *
  *  Each case serializes its RunResult with harness::resultToJson
  *  (every deterministic field: iterations, simulated timing, rewards,
@@ -99,6 +102,20 @@ TEST(GoldenReport, LossySyncIswitchTree)
     JobConfig cfg = treeConfig(StrategyKind::kSyncIswitch, 6, 6);
     cfg.cluster.edge_link.loss_prob = 0.01;
     expectGolden("lossy_sync_isw_tree", cfg);
+}
+
+TEST(GoldenReport, LossyAllReduceTree)
+{
+    JobConfig cfg = treeConfig(StrategyKind::kSyncAllReduce, 6, 6);
+    cfg.cluster.edge_link.loss_prob = 0.01;
+    expectGolden("lossy_allreduce_tree", cfg);
+}
+
+TEST(GoldenReport, LossyAsyncPsTree)
+{
+    JobConfig cfg = treeConfig(StrategyKind::kAsyncPs, 4, 6);
+    cfg.cluster.edge_link.loss_prob = 0.01;
+    expectGolden("lossy_async_ps_tree", cfg);
 }
 
 } // namespace
