@@ -124,21 +124,26 @@ ProgrammableSwitch::interceptIngress(const net::PacketPtr &pkt,
         // every iSwitch hop on the path folds tagged gradients in.
         if (const auto *chunk =
                 std::get_if<net::ChunkPayload>(&pkt->payload)) {
-            // Promoted backup: a contribution for a segment whose
-            // result already replicated means the round completed on
-            // the failed primary but the downward broadcast died with
-            // it — the contributor's whole subtree re-aggregated and
-            // is waiting. Re-serve the cached result instead of
-            // folding a duplicate round into the pool.
-            if (ha_promoted_) {
+            // A contribution for a segment this switch already
+            // completed means the downward result was lost and the
+            // contributor's whole subtree re-aggregated and is
+            // waiting. Re-serve the cached result instead of opening
+            // a partial that can never complete. This holds for a
+            // deduped (synchronous) child switch at every level, and
+            // for any member of a promoted backup, whose round may
+            // have completed on the failed primary.
+            if (ha_promoted_ || accel_.dedupeFor(chunk->job)) {
                 const std::uint64_t key =
                     packSegWord(chunk->seg, chunk->job);
                 const auto it = result_cache_.find(key);
                 if (it != result_cache_.end()) {
                     const auto m = ctrl_.table().find(pkt->ip.src);
-                    if (m)
-                        sendResultTo(*m, key, it->second);
-                    return true;
+                    if (ha_promoted_ ||
+                        (m && m->type == MemberType::kSwitch)) {
+                        if (m)
+                            sendResultTo(*m, key, it->second);
+                        return true;
+                    }
                 }
             }
             accel_.ingest(pkt);

@@ -13,6 +13,211 @@ Cluster::leafOf(std::size_t i) const
     return leaves.at(i / workersPerRack);
 }
 
+std::vector<core::ProgrammableSwitch *>
+Cluster::aggregators() const
+{
+    std::vector<core::ProgrammableSwitch *> out(leaves);
+    out.insert(out.end(), aggs.begin(), aggs.end());
+    if (root != nullptr && std::find(out.begin(), out.end(), root) == out.end())
+        out.push_back(root);
+    if (backup != nullptr)
+        out.push_back(backup);
+    return out;
+}
+
+namespace {
+
+/** Switch config at @p ip, under @p parent (nullptr = a root). */
+core::ProgrammableSwitchConfig
+switchConfig(const ClusterConfig &cfg, net::Ipv4Addr ip,
+             const core::ProgrammableSwitch *parent = nullptr)
+{
+    core::ProgrammableSwitchConfig sc;
+    sc.base = cfg.switch_cfg;
+    sc.accel = cfg.accel;
+    sc.ip = ip;
+    sc.udp_port = kSwitchPort;
+    if (parent != nullptr) {
+        sc.parent = parent->ip();
+        sc.parent_port = kSwitchPort;
+    }
+    return sc;
+}
+
+/**
+ * The one hierarchical builder behind buildTreeCluster and
+ * buildFatTreeCluster (DESIGN.md §13). Racks of per_rack workers hang
+ * off ToRs. With @p agg_layer, racks_per_pod ToRs share one AGG switch
+ * per pod and the AGGs sit under the core; without it the ToRs sit
+ * under the core directly (a 2-layer tree is a fat-tree with no AGG
+ * layer). Every switch joins its parent as a kSwitch member, so each
+ * level's auto-threshold counts its children. Creation order is part
+ * of the result: links fork RNG streams.
+ */
+Cluster
+buildHierarchy(sim::Simulation &s, const ClusterConfig &cfg, bool agg_layer)
+{
+    const std::string who =
+        agg_layer ? "buildFatTreeCluster: " : "buildTreeCluster: ";
+    const auto reject = [&who](const char *why) {
+        throw std::invalid_argument(who + why);
+    };
+    if (cfg.per_rack == 0)
+        reject("per_rack == 0");
+    if (cfg.per_rack > 250)
+        reject("per_rack exceeds the 10.0.rack.x address plan");
+    if (agg_layer && cfg.racks_per_pod == 0)
+        reject("racks_per_pod == 0");
+    if (cfg.num_workers == 0)
+        reject("num_workers == 0"); // no rack to hang PS shards off
+    const std::size_t racks =
+        (cfg.num_workers + cfg.per_rack - 1) / cfg.per_rack;
+    if (racks > 250)
+        reject("too many racks for the 10.0.rack.x address plan");
+    const std::size_t shards =
+        cfg.with_ps ? std::max<std::size_t>(cfg.ps_shards, 1) : 0;
+    if (shards > 250)
+        reject("too many PS shards for the 10.0.254.x address plan");
+    if (cfg.ha.with_backup && cfg.accel.num_slots != 0)
+        reject("HA backups require the unbounded dedicated-switch slot "
+               "model (accel.num_slots == 0)");
+
+    Cluster c;
+    c.topo = std::make_unique<net::Topology>(s);
+    c.workersPerRack = cfg.per_rack;
+    const std::size_t ha_ports = cfg.ha.with_backup ? 1 : 0;
+    // The root's children: one AGG per pod, or every ToR.
+    const std::size_t fanout =
+        agg_layer ? (racks + cfg.racks_per_pod - 1) / cfg.racks_per_pod
+                  : racks;
+    const net::LinkConfig &root_link =
+        agg_layer ? cfg.core_link : cfg.uplink;
+
+    auto *root = c.topo->addSwitch<core::ProgrammableSwitch>(
+        "core", fanout + ha_ports,
+        switchConfig(cfg, agg_layer ? net::Ipv4Addr(10, 1, 255, 1)
+                                    : net::Ipv4Addr(10, 0, 255, 1)));
+    c.root = root;
+
+    // Wire @p child's uplink port to @p parent. Parents must be able
+    // to address the child switch itself (results & control), not just
+    // the hosts behind it. Only root-side links go in primary_links.
+    const auto attach = [&](core::ProgrammableSwitch *child,
+                            std::size_t child_port,
+                            core::ProgrammableSwitch *parent,
+                            std::size_t parent_port,
+                            const net::LinkConfig &link) {
+        net::Link *l = c.topo->connectSwitches(child, child_port, parent,
+                                               parent_port, link);
+        if (parent == root)
+            c.primary_links.push_back(l);
+        parent->addRoute(child->ip(), parent_port);
+        parent->adminJoin(child->ip(), kSwitchPort,
+                          core::MemberType::kSwitch);
+    };
+
+    // AGG layer first: wiring the AGG uplinks before any ToR/host lets
+    // the subtree-route propagation in connectHost/connectSwitches
+    // reach the core.
+    for (std::size_t p = 0; agg_layer && p < fanout; ++p) {
+        const std::size_t pod_racks =
+            std::min(cfg.racks_per_pod, racks - p * cfg.racks_per_pod);
+        auto *agg = c.topo->addSwitch<core::ProgrammableSwitch>(
+            "agg" + std::to_string(p), pod_racks + 1 + ha_ports,
+            switchConfig(cfg,
+                         net::Ipv4Addr(10, 1, static_cast<std::uint8_t>(p),
+                                       1),
+                         root));
+        attach(agg, pod_racks, root, p, root_link);
+        c.aggs.push_back(agg);
+    }
+
+    std::size_t next_worker = 0;
+    for (std::size_t r = 0; r < racks; ++r) {
+        const std::size_t pod = agg_layer ? r / cfg.racks_per_pod : 0;
+        core::ProgrammableSwitch *parent = agg_layer ? c.aggs[pod] : root;
+        const std::size_t parent_port =
+            agg_layer ? r % cfg.racks_per_pod : r;
+        // Ports: per_rack workers + uplink + local PS shards (shard k
+        // lands on rack k % racks; at least one spare slot, matching
+        // the pre-sharded layout) + one pre-wired failover uplink when
+        // the ToR is a root child and an HA backup exists.
+        const std::size_t rack_ps =
+            shards / racks + (r < shards % racks ? 1 : 0);
+        auto *tor = c.topo->addSwitch<core::ProgrammableSwitch>(
+            "tor" + std::to_string(r),
+            cfg.per_rack + 1 + std::max<std::size_t>(1, rack_ps) +
+                (parent == root ? ha_ports : 0),
+            switchConfig(cfg,
+                         net::Ipv4Addr(10, 0, static_cast<std::uint8_t>(r),
+                                       1),
+                         parent));
+        c.leaves.push_back(tor);
+
+        std::size_t used = 0;
+        for (; used < cfg.per_rack && next_worker < cfg.num_workers;
+             ++used, ++next_worker) {
+            auto *h = c.topo->addHost(
+                "worker" + std::to_string(next_worker),
+                net::Ipv4Addr(10, 0, static_cast<std::uint8_t>(r),
+                              static_cast<std::uint8_t>(2 + used)));
+            c.topo->connectHost(h, tor, used, cfg.edge_link);
+            tor->adminJoin(h->ip(), kWorkerPort, core::MemberType::kWorker);
+            c.workers.push_back(h);
+        }
+        // Uplink on the port after the last worker slot.
+        attach(tor, cfg.per_rack, parent, parent_port, cfg.uplink);
+        if (agg_layer)
+            root->addRoute(tor->ip(), pod);
+    }
+
+    for (std::size_t k = 0; k < shards; ++k) {
+        const std::size_t rack = k % racks;
+        net::Host *h = c.topo->addHost(
+            shards == 1 ? "ps" : "ps" + std::to_string(k),
+            net::Ipv4Addr(10, 0, 254, static_cast<std::uint8_t>(2 + k)));
+        c.topo->connectHost(h, c.leaves[rack],
+                            cfg.per_rack + 1 + k / racks, cfg.edge_link);
+        c.ps_shards.push_back(h); // not aggregation members
+    }
+    if (!c.ps_shards.empty())
+        c.ps = c.ps_shards.front();
+
+    if (cfg.ha.with_backup) {
+        // A second root-level switch, pre-wired to every root child.
+        // Wired after the PS loop so subtreeHosts() already includes
+        // the PS shards.
+        auto *bk = c.topo->addSwitch<core::ProgrammableSwitch>(
+            "backup", fanout + 1,
+            switchConfig(cfg, agg_layer ? net::Ipv4Addr(10, 1, 254, 1)
+                                        : net::Ipv4Addr(10, 0, 255, 2)));
+        const auto &children = agg_layer ? c.aggs : c.leaves;
+        for (std::size_t i = 0; i < fanout; ++i) {
+            core::ProgrammableSwitch *child = children[i];
+            const std::size_t fail_port = child->numPorts() - 1;
+            // Failover links must stay up through a primary crash, so
+            // they are NOT recorded in primary_links.
+            c.topo->connectPeers(child, fail_port, bk, i, root_link);
+            bk->addRoute(child->ip(), i);
+            for (net::Host *h : c.topo->subtreeHosts(child))
+                bk->addRoute(h->ip(), i);
+            bk->adminJoin(child->ip(), kSwitchPort,
+                          core::MemberType::kSwitch);
+            child->setFailoverUplink(bk->ip(), fail_port);
+        }
+        c.primary_links.push_back(
+            c.topo->connectPeers(root, fanout, bk, fanout, root_link));
+        root->addRoute(bk->ip(), fanout);
+        root->enableHaPrimary(bk->ip(), kSwitchPort,
+                              {cfg.ha.repl_mode, cfg.ha.staleness_window});
+        bk->enableHaBackup(cfg.ha.heartbeat_period, cfg.ha.miss_threshold);
+        c.backup = bk;
+    }
+    return c;
+}
+
+} // namespace
+
 Cluster
 buildStarCluster(sim::Simulation &s, const ClusterConfig &cfg)
 {
@@ -33,11 +238,8 @@ buildStarCluster(sim::Simulation &s, const ClusterConfig &cfg)
     const std::size_t ha_ports = cfg.ha.with_backup ? 1 : 0;
     const std::size_t host_ports = cfg.ha.with_backup ? 2 : 1;
 
-    core::ProgrammableSwitchConfig sw_cfg;
-    sw_cfg.base = cfg.switch_cfg;
-    sw_cfg.accel = cfg.accel;
-    sw_cfg.ip = net::Ipv4Addr(10, 0, 0, 1);
-    sw_cfg.udp_port = kSwitchPort;
+    const core::ProgrammableSwitchConfig sw_cfg =
+        switchConfig(cfg, net::Ipv4Addr(10, 0, 0, 1));
     auto *sw = c.topo->addSwitch<core::ProgrammableSwitch>(
         "switch0", cfg.num_workers + extra + ha_ports, sw_cfg);
     c.leaves.push_back(sw);
@@ -101,270 +303,13 @@ buildStarCluster(sim::Simulation &s, const ClusterConfig &cfg)
 Cluster
 buildTreeCluster(sim::Simulation &s, const ClusterConfig &cfg)
 {
-    if (cfg.per_rack == 0)
-        throw std::invalid_argument("buildTreeCluster: per_rack == 0");
-    Cluster c;
-    c.topo = std::make_unique<net::Topology>(s);
-    c.workersPerRack = cfg.per_rack;
-    const std::size_t racks =
-        (cfg.num_workers + cfg.per_rack - 1) / cfg.per_rack;
-    const std::size_t shards =
-        cfg.with_ps ? std::max<std::size_t>(cfg.ps_shards, 1) : 0;
-    if (shards > 250)
-        throw std::invalid_argument(
-            "buildTreeCluster: too many PS shards for the 10.0.254.x "
-            "address plan");
-    if (cfg.ha.with_backup && cfg.accel.num_slots != 0)
-        throw std::invalid_argument(
-            "buildTreeCluster: HA backups require the unbounded "
-            "dedicated-switch slot model (accel.num_slots == 0)");
-    const std::size_t ha_ports = cfg.ha.with_backup ? 1 : 0;
-
-    core::ProgrammableSwitchConfig core_cfg;
-    core_cfg.base = cfg.switch_cfg;
-    core_cfg.accel = cfg.accel;
-    core_cfg.ip = net::Ipv4Addr(10, 0, 255, 1);
-    core_cfg.udp_port = kSwitchPort;
-    auto *root = c.topo->addSwitch<core::ProgrammableSwitch>(
-        "core", racks + ha_ports, core_cfg);
-    c.root = root;
-
-    std::size_t next_worker = 0;
-    for (std::size_t r = 0; r < racks; ++r) {
-        // PS shards spread round-robin over racks (shard k on rack
-        // k % racks), so each rack's ToR needs a port per local shard.
-        const std::size_t rack_ps =
-            shards / racks + (r < shards % racks ? 1 : 0);
-        core::ProgrammableSwitchConfig tor_cfg;
-        tor_cfg.base = cfg.switch_cfg;
-        tor_cfg.accel = cfg.accel;
-        tor_cfg.ip = net::Ipv4Addr(10, 0, static_cast<std::uint8_t>(r), 1);
-        tor_cfg.udp_port = kSwitchPort;
-        tor_cfg.parent = core_cfg.ip;
-        tor_cfg.parent_port = kSwitchPort;
-        // Ports: per_rack workers + uplink + local PS shards (at least
-        // one spare slot, matching the pre-sharded layout) + one
-        // pre-wired failover uplink when an HA backup exists.
-        auto *tor = c.topo->addSwitch<core::ProgrammableSwitch>(
-            "tor" + std::to_string(r),
-            cfg.per_rack + 1 + std::max<std::size_t>(1, rack_ps) + ha_ports,
-            tor_cfg);
-        c.leaves.push_back(tor);
-
-        std::size_t used = 0;
-        for (; used < cfg.per_rack && next_worker < cfg.num_workers;
-             ++used, ++next_worker) {
-            auto *h = c.topo->addHost(
-                "worker" + std::to_string(next_worker),
-                net::Ipv4Addr(10, 0, static_cast<std::uint8_t>(r),
-                              static_cast<std::uint8_t>(2 + used)));
-            c.topo->connectHost(h, tor, used, cfg.edge_link);
-            tor->adminJoin(h->ip(), kWorkerPort, core::MemberType::kWorker);
-            c.workers.push_back(h);
-        }
-        // Uplink on the port after the last worker slot.
-        c.primary_links.push_back(
-            c.topo->connectSwitches(tor, cfg.per_rack, root, r, cfg.uplink));
-        // The core must be able to address the ToR itself (results &
-        // control), not just the hosts behind it.
-        root->addRoute(tor->ip(), r);
-        root->adminJoin(tor->ip(), kSwitchPort, core::MemberType::kSwitch);
-    }
-
-    for (std::size_t k = 0; k < shards; ++k) {
-        const std::size_t rack = k % racks;
-        net::Host *h = c.topo->addHost(
-            shards == 1 ? "ps" : "ps" + std::to_string(k),
-            net::Ipv4Addr(10, 0, 254, static_cast<std::uint8_t>(2 + k)));
-        c.topo->connectHost(h, c.leaves[rack],
-                            cfg.per_rack + 1 + k / racks, cfg.edge_link);
-        c.ps_shards.push_back(h); // not aggregation members
-    }
-    if (!c.ps_shards.empty())
-        c.ps = c.ps_shards.front();
-
-    if (cfg.ha.with_backup) {
-        // Second root-level switch. Wired after the PS
-        // loop so subtreeHosts() already includes the PS shards.
-        core::ProgrammableSwitchConfig bk_cfg = core_cfg; // root-style
-        bk_cfg.ip = net::Ipv4Addr(10, 0, 255, 2);
-        auto *bk = c.topo->addSwitch<core::ProgrammableSwitch>(
-            "backup", racks + 1, bk_cfg);
-        for (std::size_t r = 0; r < racks; ++r) {
-            core::ProgrammableSwitch *tor = c.leaves[r];
-            const std::size_t fail_port = tor->numPorts() - 1;
-            // Failover links must stay up through a primary crash, so
-            // they are NOT recorded in primary_links.
-            c.topo->connectPeers(tor, fail_port, bk, r, cfg.uplink);
-            bk->addRoute(tor->ip(), r);
-            for (net::Host *h : c.topo->subtreeHosts(tor))
-                bk->addRoute(h->ip(), r);
-            bk->adminJoin(tor->ip(), kSwitchPort,
-                          core::MemberType::kSwitch);
-            tor->setFailoverUplink(bk->ip(), fail_port);
-        }
-        c.primary_links.push_back(
-            c.topo->connectPeers(root, racks, bk, racks, cfg.uplink));
-        root->addRoute(bk->ip(), racks);
-        root->enableHaPrimary(bk->ip(), kSwitchPort,
-                              {cfg.ha.repl_mode, cfg.ha.staleness_window});
-        bk->enableHaBackup(cfg.ha.heartbeat_period, cfg.ha.miss_threshold);
-        c.backup = bk;
-    }
-    return c;
+    return buildHierarchy(s, cfg, /*agg_layer=*/false);
 }
 
 Cluster
 buildFatTreeCluster(sim::Simulation &s, const ClusterConfig &cfg)
 {
-    if (cfg.per_rack == 0)
-        throw std::invalid_argument("buildFatTreeCluster: per_rack == 0");
-    if (cfg.per_rack > 250)
-        throw std::invalid_argument(
-            "buildFatTreeCluster: per_rack exceeds the 10.0.rack.x "
-            "address plan");
-    if (cfg.racks_per_pod == 0)
-        throw std::invalid_argument(
-            "buildFatTreeCluster: racks_per_pod == 0");
-    Cluster c;
-    c.topo = std::make_unique<net::Topology>(s);
-    c.workersPerRack = cfg.per_rack;
-    const std::size_t racks =
-        (cfg.num_workers + cfg.per_rack - 1) / cfg.per_rack;
-    if (racks > 250)
-        throw std::invalid_argument(
-            "buildFatTreeCluster: too many racks for the 10.0.rack.x "
-            "address plan");
-    const std::size_t pods =
-        (racks + cfg.racks_per_pod - 1) / cfg.racks_per_pod;
-    const std::size_t shards =
-        cfg.with_ps ? std::max<std::size_t>(cfg.ps_shards, 1) : 0;
-    if (shards > 250)
-        throw std::invalid_argument(
-            "buildFatTreeCluster: too many PS shards for the 10.0.254.x "
-            "address plan");
-    if (cfg.ha.with_backup && cfg.accel.num_slots != 0)
-        throw std::invalid_argument(
-            "buildFatTreeCluster: HA backups require the unbounded "
-            "dedicated-switch slot model (accel.num_slots == 0)");
-    const std::size_t ha_ports = cfg.ha.with_backup ? 1 : 0;
-
-    core::ProgrammableSwitchConfig core_cfg;
-    core_cfg.base = cfg.switch_cfg;
-    core_cfg.accel = cfg.accel;
-    core_cfg.ip = net::Ipv4Addr(10, 1, 255, 1);
-    core_cfg.udp_port = kSwitchPort;
-    auto *root = c.topo->addSwitch<core::ProgrammableSwitch>(
-        "core", pods + ha_ports, core_cfg);
-    c.root = root;
-
-    // AGG layer first: each pod's AGG joins the core as a kSwitch
-    // member, so the core's auto-threshold H = number of pods. Wiring
-    // the AGG uplinks before any ToR/host lets the subtree-route
-    // propagation in connectHost/connectSwitches reach the core.
-    for (std::size_t p = 0; p < pods; ++p) {
-        const std::size_t pod_racks =
-            std::min(cfg.racks_per_pod, racks - p * cfg.racks_per_pod);
-        core::ProgrammableSwitchConfig agg_cfg;
-        agg_cfg.base = cfg.switch_cfg;
-        agg_cfg.accel = cfg.accel;
-        agg_cfg.ip = net::Ipv4Addr(10, 1, static_cast<std::uint8_t>(p), 1);
-        agg_cfg.udp_port = kSwitchPort;
-        agg_cfg.parent = core_cfg.ip;
-        agg_cfg.parent_port = kSwitchPort;
-        auto *agg = c.topo->addSwitch<core::ProgrammableSwitch>(
-            "agg" + std::to_string(p), pod_racks + 1 + ha_ports, agg_cfg);
-        c.primary_links.push_back(c.topo->connectSwitches(
-            agg, pod_racks, root, p, cfg.core_link));
-        root->addRoute(agg->ip(), p);
-        root->adminJoin(agg->ip(), kSwitchPort, core::MemberType::kSwitch);
-        c.aggs.push_back(agg);
-    }
-
-    std::size_t next_worker = 0;
-    for (std::size_t r = 0; r < racks; ++r) {
-        const std::size_t pod = r / cfg.racks_per_pod;
-        const std::size_t slot = r % cfg.racks_per_pod;
-        core::ProgrammableSwitch *agg = c.aggs[pod];
-
-        core::ProgrammableSwitchConfig tor_cfg;
-        tor_cfg.base = cfg.switch_cfg;
-        tor_cfg.accel = cfg.accel;
-        tor_cfg.ip = net::Ipv4Addr(10, 0, static_cast<std::uint8_t>(r), 1);
-        tor_cfg.udp_port = kSwitchPort;
-        tor_cfg.parent = agg->ip();
-        tor_cfg.parent_port = kSwitchPort;
-        // Ports: per_rack workers + uplink + local PS shards (shard k
-        // lands on rack k % racks; at least one spare slot, matching
-        // the pre-sharded layout).
-        const std::size_t rack_ps =
-            shards / racks + (r < shards % racks ? 1 : 0);
-        auto *tor = c.topo->addSwitch<core::ProgrammableSwitch>(
-            "tor" + std::to_string(r),
-            cfg.per_rack + 1 + std::max<std::size_t>(1, rack_ps), tor_cfg);
-        c.leaves.push_back(tor);
-
-        std::size_t used = 0;
-        for (; used < cfg.per_rack && next_worker < cfg.num_workers;
-             ++used, ++next_worker) {
-            auto *h = c.topo->addHost(
-                "worker" + std::to_string(next_worker),
-                net::Ipv4Addr(10, 0, static_cast<std::uint8_t>(r),
-                              static_cast<std::uint8_t>(2 + used)));
-            c.topo->connectHost(h, tor, used, cfg.edge_link);
-            tor->adminJoin(h->ip(), kWorkerPort, core::MemberType::kWorker);
-            c.workers.push_back(h);
-        }
-        c.topo->connectSwitches(tor, cfg.per_rack, agg, slot, cfg.uplink);
-        // Parents must be able to address the ToR itself (results &
-        // control), not just the hosts behind it.
-        agg->addRoute(tor->ip(), slot);
-        root->addRoute(tor->ip(), pod);
-        agg->adminJoin(tor->ip(), kSwitchPort, core::MemberType::kSwitch);
-    }
-
-    for (std::size_t k = 0; k < shards; ++k) {
-        const std::size_t rack = k % racks;
-        net::Host *h = c.topo->addHost(
-            shards == 1 ? "ps" : "ps" + std::to_string(k),
-            net::Ipv4Addr(10, 0, 254, static_cast<std::uint8_t>(2 + k)));
-        c.topo->connectHost(h, c.leaves[rack],
-                            cfg.per_rack + 1 + k / racks, cfg.edge_link);
-        c.ps_shards.push_back(h); // not aggregation members
-    }
-    if (!c.ps_shards.empty())
-        c.ps = c.ps_shards.front();
-
-    if (cfg.ha.with_backup) {
-        // AGG-layer backup: a second root-level switch, pre-wired to
-        // every AGG. Wired after the PS loop so subtreeHosts() already
-        // includes the PS shards.
-        core::ProgrammableSwitchConfig bk_cfg = core_cfg; // root-style
-        bk_cfg.ip = net::Ipv4Addr(10, 1, 254, 1);
-        auto *bk = c.topo->addSwitch<core::ProgrammableSwitch>(
-            "backup", pods + 1, bk_cfg);
-        for (std::size_t p = 0; p < pods; ++p) {
-            core::ProgrammableSwitch *agg = c.aggs[p];
-            const std::size_t fail_port = agg->numPorts() - 1;
-            // Failover links must stay up through a primary crash, so
-            // they are NOT recorded in primary_links.
-            c.topo->connectPeers(agg, fail_port, bk, p, cfg.core_link);
-            bk->addRoute(agg->ip(), p);
-            for (net::Host *h : c.topo->subtreeHosts(agg))
-                bk->addRoute(h->ip(), p);
-            bk->adminJoin(agg->ip(), kSwitchPort,
-                          core::MemberType::kSwitch);
-            agg->setFailoverUplink(bk->ip(), fail_port);
-        }
-        c.primary_links.push_back(
-            c.topo->connectPeers(root, pods, bk, pods, cfg.core_link));
-        root->addRoute(bk->ip(), pods);
-        root->enableHaPrimary(bk->ip(), kSwitchPort,
-                              {cfg.ha.repl_mode, cfg.ha.staleness_window});
-        bk->enableHaBackup(cfg.ha.heartbeat_period, cfg.ha.miss_threshold);
-        c.backup = bk;
-    }
-    return c;
+    return buildHierarchy(s, cfg, /*agg_layer=*/true);
 }
 
 } // namespace isw::dist

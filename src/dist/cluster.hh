@@ -7,10 +7,13 @@
  *  - Tree (scalability setup, §5.3 / Figure 10): racks of `per_rack`
  *    workers under ToR switches, ToRs under one core switch over a
  *    faster uplink, with hierarchical aggregation membership wired.
- *  - Fat-tree (datacenter scale, ROADMAP item 2): racks under ToRs,
- *    ToRs grouped into pods under AGG switches, AGGs under one core —
- *    three levels of hierarchical aggregation (ToR -> AGG -> Core),
- *    the regime SwitchML/NetReduce evaluate.
+ *  - Fat-tree (datacenter scale): racks under ToRs, ToRs grouped into
+ *    pods under AGG switches, AGGs under one core — three levels of
+ *    hierarchical aggregation (ToR -> AGG -> Core), the regime
+ *    SwitchML/NetReduce evaluate.
+ *
+ * Tree and fat-tree come from one hierarchical builder: a tree is a
+ * fat-tree with no AGG layer.
  */
 
 #ifndef ISW_DIST_CLUSTER_HH
@@ -104,6 +107,13 @@ struct Cluster
 
     /** Leaf switch worker @p i attaches to. */
     core::ProgrammableSwitch *leafOf(std::size_t i) const;
+
+    /**
+     * Every aggregating switch of the hierarchy, each once: leaves,
+     * aggs, the root when it is not a leaf, and the HA backup. Job-wide
+     * switch knobs (dedupe, SetH) and switch counters walk this list.
+     */
+    std::vector<core::ProgrammableSwitch *> aggregators() const;
 
     std::size_t workersPerRack = 0; ///< 0 for star clusters
 };

@@ -47,12 +47,8 @@ AsyncIswitchJob::init()
     if (cfg_.agg_threshold != 0) {
         if (jobId() == 0) {
             // The control plane's SetH: pin H below the membership count.
-            for (auto *leaf : cluster_.leaves)
-                leaf->setManualThreshold(h_);
-            if (cluster_.root != cluster_.leaves.front())
-                cluster_.root->setManualThreshold(h_);
-            if (cluster_.backup != nullptr)
-                cluster_.backup->setManualThreshold(h_);
+            for (core::ProgrammableSwitch *sw : cluster_.aggregators())
+                sw->setManualThreshold(h_);
         } else {
             // Shared fabric: pin only our own job's threshold.
             cluster_.root->accelerator().setJobThreshold(jobId(), h_);

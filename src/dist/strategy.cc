@@ -562,29 +562,18 @@ JobBase::collectExtras(RunResult &res) const
         res.extras["quant_value_clamps"] =
             static_cast<double>(p.value_clamps);
         res.extras["quant_exp_clamps"] = static_cast<double>(p.exp_clamps);
-        if (cluster_.root != nullptr) {
-            // Integer-datapath counters summed over every aggregating
-            // switch (a star's root is also leaves.front(); count each
-            // switch once).
-            core::SlotPoolStats sw;
-            const auto fold = [&sw](core::ProgrammableSwitch *s) {
-                const core::SlotPoolStats t =
-                    s->accelerator().pool().totals();
-                sw.overflow_clamps += t.overflow_clamps;
-                sw.exp_rescales += t.exp_rescales;
-            };
-            fold(cluster_.root);
-            for (core::ProgrammableSwitch *leaf : cluster_.leaves)
-                if (leaf != cluster_.root)
-                    fold(leaf);
-            for (core::ProgrammableSwitch *agg : cluster_.aggs)
-                if (agg != cluster_.root)
-                    fold(agg);
-            res.extras["switch_overflow_clamps"] =
-                static_cast<double>(sw.overflow_clamps);
-            res.extras["switch_exp_rescales"] =
-                static_cast<double>(sw.exp_rescales);
+        // Integer-datapath counters summed over every aggregating
+        // switch.
+        core::SlotPoolStats sw;
+        for (core::ProgrammableSwitch *s : cluster_.aggregators()) {
+            const core::SlotPoolStats t = s->accelerator().pool().totals();
+            sw.overflow_clamps += t.overflow_clamps;
+            sw.exp_rescales += t.exp_rescales;
         }
+        res.extras["switch_overflow_clamps"] =
+            static_cast<double>(sw.overflow_clamps);
+        res.extras["switch_exp_rescales"] =
+            static_cast<double>(sw.exp_rescales);
     }
     if (injector_ != nullptr) {
         const net::FaultStats &f = injector_->stats();

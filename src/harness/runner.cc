@@ -193,10 +193,7 @@ struct Runner::Entry
     bool done = false;
 };
 
-Runner::Runner(RunnerOptions opts)
-    : opts_(std::move(opts)), jobs_(resolveJobs(opts_.jobs))
-{
-}
+Runner::Runner(RunnerOptions opts) : jobs_(resolveJobs(opts.jobs)) {}
 
 Runner::~Runner() = default;
 
@@ -223,21 +220,7 @@ Runner::execute(Entry &e)
     const auto t0 = std::chrono::steady_clock::now();
     dist::RunResult result;
     try {
-        auto job = dist::makeJob(e.spec.config);
-        // Per-runner serialized sink: a job's log lines never
-        // interleave with another's mid-line, and each line says which
-        // experiment produced it.
-        sim::Logger &logger = job->simulation().logger();
-        logger.setLevel(opts_.log_level);
-        logger.setSink([this, name = e.spec.name](const std::string &line) {
-            std::lock_guard<std::mutex> lock(log_mu_);
-            if (opts_.log_sink)
-                opts_.log_sink("[" + name + "] " + line);
-            else
-                std::fprintf(stderr, "[%s] %s\n", name.c_str(),
-                             line.c_str());
-        });
-        result = job->run();
+        result = dist::makeJob(e.spec.config)->run();
     } catch (const std::exception &ex) {
         // One faulty spec must not abort a whole sweep: the failure
         // becomes this spec's diagnostic result instead.

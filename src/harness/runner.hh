@@ -4,16 +4,16 @@
  * machine-readable reports.
  *
  * Every `isw::sim::Simulation` is a fully self-contained world (clock,
- * event queue, RNG, stats, logger), so independent runs are
- * embarrassingly parallel. The Runner exploits that: bench binaries
- * declare a batch of ExperimentSpecs, the Runner executes each spec's
- * Job in its own Simulation on a thread pool (`--jobs N` /
- * `ISW_BENCH_JOBS`, default hardware concurrency), memoizes results
- * under a typed key so identical specs execute exactly once, and
- * returns results in deterministic spec order regardless of
- * completion order. Parallel and serial execution produce
- * byte-identical results (same seeds => same worlds); the parity test
- * in tests/harness/runner_test.cc enforces this.
+ * event queue, RNG), so independent runs are embarrassingly parallel.
+ * The Runner exploits that: bench binaries declare a batch of
+ * ExperimentSpecs, the Runner executes each spec's Job in its own
+ * Simulation on a thread pool (`--jobs N` / `ISW_BENCH_JOBS`, default
+ * hardware concurrency), memoizes results under a typed key so
+ * identical specs execute exactly once, and returns results in
+ * deterministic spec order regardless of completion order. Parallel
+ * and serial execution produce byte-identical results (same seeds =>
+ * same worlds); the parity test in tests/harness/runner_test.cc
+ * enforces this.
  */
 
 #ifndef ISW_HARNESS_RUNNER_HH
@@ -29,7 +29,6 @@
 
 #include "dist/strategy.hh"
 #include "harness/json.hh"
-#include "sim/log.hh"
 
 namespace isw::harness {
 
@@ -75,14 +74,6 @@ struct RunnerOptions
      * environment variable, falling back to hardware concurrency.
      */
     std::size_t jobs = 0;
-    /** Log level installed on every job's Simulation logger. */
-    sim::LogLevel log_level = sim::LogLevel::kWarn;
-    /**
-     * Optional destination for job log lines. Lines arrive serialized
-     * (one writer at a time) and tagged with the spec name; default is
-     * stderr.
-     */
-    sim::Logger::Sink log_sink;
 };
 
 /**
@@ -146,15 +137,12 @@ class Runner
     void execute(Entry &e);
     void waitDone(Entry &e);
 
-    RunnerOptions opts_;
     std::size_t jobs_ = 1;
 
     mutable std::mutex mu_;
     std::condition_variable cv_;
     std::map<SpecKey, std::shared_ptr<Entry>> cache_;
     std::uint64_t next_order_ = 0;
-
-    std::mutex log_mu_; ///< serializes tagged job log lines
 };
 
 /** Serialize a RunResult (schema: iterations, per_iter_ms, reward,

@@ -1,6 +1,6 @@
 /**
  * @file
- * Simulation context: clock + event queue + RNG + logger.
+ * Simulation context: clock + event queue + RNG.
  *
  * Every simulated entity (link, switch, worker, ...) holds a reference
  * to one Simulation and interacts with the world exclusively through
@@ -15,7 +15,6 @@
 #include <cstdint>
 
 #include "sim/event_queue.hh"
-#include "sim/log.hh"
 #include "sim/random.hh"
 #include "sim/time.hh"
 
@@ -39,7 +38,6 @@ class Simulation
     TimeNs now() const { return events_.now(); }
 
     EventQueue &events() { return events_; }
-    Logger &logger() { return logger_; }
 
     /** Root RNG. Prefer forkRng() for per-entity streams. */
     Rng &rng() { return root_rng_; }
@@ -85,7 +83,6 @@ class Simulation
 
   private:
     EventQueue events_;
-    Logger logger_;
     Rng root_rng_;
     std::uint64_t next_stream_;
 };

@@ -1,6 +1,8 @@
-/** @file Cluster builder tests (star and rack-scale tree). */
+/** @file Cluster builder tests (star, rack-scale tree and fat-tree). */
 
 #include <gtest/gtest.h>
+
+#include <set>
 
 #include "dist/cluster.hh"
 
@@ -111,6 +113,22 @@ TEST(TreeCluster, RejectsZeroPerRack)
     sim::Simulation s{1};
     ClusterConfig cfg;
     cfg.per_rack = 0;
+    EXPECT_THROW(buildTreeCluster(s, cfg), std::invalid_argument);
+}
+
+TEST(TreeCluster, RejectsBadShapes)
+{
+    // The 10.0.rack.x address plan holds 250 racks of 250 hosts; wider
+    // shapes must be rejected, not wrapped into duplicate addresses.
+    sim::Simulation s{1};
+    ClusterConfig cfg;
+    cfg.num_workers = 251;
+    cfg.per_rack = 251;
+    EXPECT_THROW(buildTreeCluster(s, cfg), std::invalid_argument);
+    cfg.per_rack = 1; // 251 racks
+    EXPECT_THROW(buildTreeCluster(s, cfg), std::invalid_argument);
+    cfg.num_workers = 0; // no rack for the PS
+    cfg.with_ps = true;
     EXPECT_THROW(buildTreeCluster(s, cfg), std::invalid_argument);
 }
 
@@ -233,6 +251,48 @@ TEST(FatTreeCluster, RejectsBadShapes)
     cfg.per_rack = 1;
     cfg.num_workers = 251; // 251 racks: outside the 10.0.rack.x plan
     EXPECT_THROW(buildFatTreeCluster(s, cfg), std::invalid_argument);
+}
+
+/** aggregators() lists every programmable switch the builder made,
+ *  each once. */
+void
+expectEachSwitchOnce(const Cluster &c)
+{
+    std::set<core::ProgrammableSwitch *> built;
+    for (const auto &n : c.topo->nodes())
+        if (auto *sw = dynamic_cast<core::ProgrammableSwitch *>(n.get()))
+            built.insert(sw);
+    const std::vector<core::ProgrammableSwitch *> got = c.aggregators();
+    EXPECT_EQ(got.size(), built.size());
+    EXPECT_EQ(std::set<core::ProgrammableSwitch *>(got.begin(), got.end()),
+              built);
+}
+
+TEST(ClusterAggregators, ListEachSwitchOnce)
+{
+    ClusterConfig cfg;
+    cfg.num_workers = 8;
+    cfg.per_rack = 2;
+    cfg.racks_per_pod = 2;
+    {
+        sim::Simulation s{1};
+        const Cluster c = buildStarCluster(s, cfg); // root == leaf
+        ASSERT_EQ(c.aggregators().size(), 1u);
+        expectEachSwitchOnce(c);
+    }
+    cfg.ha.with_backup = true;
+    {
+        sim::Simulation s{1};
+        const Cluster c = buildTreeCluster(s, cfg); // 4 ToRs, core, backup
+        ASSERT_EQ(c.aggregators().size(), 6u);
+        expectEachSwitchOnce(c);
+    }
+    {
+        sim::Simulation s{1};
+        const Cluster c = buildFatTreeCluster(s, cfg); // + 2 AGGs
+        ASSERT_EQ(c.aggregators().size(), 8u);
+        expectEachSwitchOnce(c);
+    }
 }
 
 } // namespace

@@ -1,5 +1,6 @@
 /** @file Chaos matrix on a partitioned fabric: lossy, faulted and
- *  failover runs of every strategy on a two-rack tree. The star-only
+ *  failover runs of every strategy on a two-rack tree, and weight
+ *  checks of sync iSwitch on tree and fat-tree fabrics. The star-only
  *  matrices in chaos_test.cc never reach the tree fabric's hierarchical
  *  aggregation, cross-rack PS placement or ToR failover under loss;
  *  these cells do.
@@ -169,6 +170,91 @@ INSTANTIATE_TEST_SUITE_P(
           default: return "?";
         }
     });
+
+/** Sync iSwitch on the hierarchical fabrics under loss and crashes
+ *  (DESIGN.md §10, §13): every level dedupes its children's
+ *  re-forwards and re-serves already-completed segments from its
+ *  result cache, so a faulted run lands on the lossless weights and
+ *  every worker holds the same ones. PPO, 8 workers in racks of 2. */
+enum class Hierarchy { kTree, kFatTreeOnePod, kFatTreeTwoPods };
+enum class Fault { kIidLoss, kBurstLoss, kUplinkLoss, kCrash };
+
+JobConfig
+hierarchyConfig(Hierarchy h)
+{
+    JobConfig cfg = treeChaosConfig(StrategyKind::kSyncIswitch, 8, 6);
+    cfg.cluster.per_rack = 2;
+    if (h != Hierarchy::kTree) {
+        cfg.use_tree = false;
+        cfg.use_fat_tree = true;
+        cfg.cluster.racks_per_pod = h == Hierarchy::kFatTreeOnePod ? 4 : 2;
+    }
+    return cfg;
+}
+
+void
+expectLosslessWeights(Hierarchy h, Fault f)
+{
+    const JobConfig cfg = hierarchyConfig(h);
+    auto basejob = makeJob(cfg);
+    const RunResult baseres = basejob->run();
+    ASSERT_TRUE(baseres.ok()) << baseres.error;
+
+    JobConfig faulty = cfg;
+    switch (f) {
+      case Fault::kIidLoss: faulty.faults.extra_loss = 0.01; break;
+      case Fault::kBurstLoss: addBurstLoss(faulty); break;
+      case Fault::kUplinkLoss: faulty.cluster.uplink.loss_prob = 0.01; break;
+      case Fault::kCrash: addCrash(faulty); break;
+    }
+    auto job = makeJob(faulty);
+    const RunResult res = job->run();
+    ASSERT_TRUE(res.ok()) << res.error;
+    EXPECT_EQ(res.iterations, faulty.stop.max_iterations);
+    ml::Vec bw, w0, w7;
+    basejob->workerAgent(0).getWeights(bw);
+    job->workerAgent(0).getWeights(w0);
+    job->workerAgent(7).getWeights(w7);
+    ASSERT_EQ(w0.size(), bw.size());
+    for (std::size_t i = 0; i < w0.size(); ++i)
+        ASSERT_NEAR(w0[i], bw[i], 1e-4f) << "weight " << i;
+    EXPECT_EQ(w0, w7);
+}
+
+class FatTreeChaos
+    : public ::testing::TestWithParam<std::tuple<Hierarchy, Fault>>
+{
+};
+
+TEST_P(FatTreeChaos, SyncIswitchMatchesLossless)
+{
+    expectLosslessWeights(std::get<0>(GetParam()), std::get<1>(GetParam()));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PodsAndFaults, FatTreeChaos,
+    ::testing::Combine(::testing::Values(Hierarchy::kFatTreeOnePod,
+                                         Hierarchy::kFatTreeTwoPods),
+                       ::testing::Values(Fault::kIidLoss, Fault::kBurstLoss,
+                                         Fault::kUplinkLoss, Fault::kCrash)),
+    [](const auto &info) {
+        std::string name = std::get<0>(info.param) ==
+                                   Hierarchy::kFatTreeOnePod
+                               ? "OnePod"
+                               : "TwoPods";
+        switch (std::get<1>(info.param)) {
+          case Fault::kIidLoss: return name + "Iid";
+          case Fault::kBurstLoss: return name + "Burst";
+          case Fault::kUplinkLoss: return name + "Uplink";
+          case Fault::kCrash: return name + "Crash";
+        }
+        return name;
+    });
+
+TEST(ShardedChaos, TreeSyncIswitchUplinkLossMatchesLossless)
+{
+    expectLosslessWeights(Hierarchy::kTree, Fault::kUplinkLoss);
+}
 
 TEST(ShardedChaos, MultiShardPsPlacesShardsAcrossRacks)
 {

@@ -44,7 +44,6 @@ quietOpts(std::size_t jobs)
 {
     RunnerOptions opts;
     opts.jobs = jobs;
-    opts.log_sink = [](const std::string &) {};
     return opts;
 }
 
